@@ -88,7 +88,6 @@ class ExperimentConfig:
     learn_fraction: float | None = None
     grid_size: int | None = None
     price: float | None = None
-    coefficient: float = 1.0
     out: str | None = None
     workers: int = 1
     check: bool = False
@@ -113,7 +112,7 @@ def print_config(config: ExperimentConfig) -> str:
     dem_keys = ("demand_family", "demand_params", "price_floor", "price_ceil")
     pol_keys = (
         "policy", "delta", "log_mode", "step3_interval", "learn_fraction",
-        "grid_size", "price", "coefficient",
+        "grid_size", "price",
     )
     rename = {
         "demand_family": "family", "demand_params": "params",
@@ -175,7 +174,6 @@ def parse_config(text: str) -> ExperimentConfig:
     take("policy", "learn_fraction", "learn_fraction", float)
     take("policy", "grid_size", "grid_size", int)
     take("policy", "price", "price", float)
-    take("policy", "coefficient", "coefficient", float)
     return ExperimentConfig(**fields)
 
 
@@ -216,7 +214,6 @@ def build_policy_config(config: ExperimentConfig) -> PolicyConfig:
         learn_fraction=config.learn_fraction,
         grid_size=config.grid_size,
         price=config.price,
-        coefficient=config.coefficient,
     )
 
 

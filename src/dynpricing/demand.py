@@ -478,11 +478,6 @@ def deterministic_value(
     return market_size * p_d * sold
 
 
-def rate(model: DemandModel, p) -> float:
-    """Module-level alias for model.rate(p)."""
-    return model.rate(p)
-
-
 def advertisement_transform(
     price: float,
     intensity_rate: Callable[[float], float],

@@ -181,22 +181,6 @@ def evaluate_policy_bounds(
     )
 
 
-def check_information_cost(
-    config: PolicyConfig, n: int, replications: int, seed: int
-) -> tuple[bool, BoundReport]:
-    """KL between environments is bounded by regret under z0 (times 24 n gap^2)."""
-    report = evaluate_policy_bounds(config, n, replications, seed)
-    return report.info_cost_pass, report
-
-
-def check_regret_floor(
-    config: PolicyConfig, n: int, replications: int, seed: int
-) -> tuple[bool, BoundReport]:
-    """Summed regret across both environments sits above e^(-K) / (6912 sqrt n)."""
-    report = evaluate_policy_bounds(config, n, replications, seed)
-    return report.floor_pass, report
-
-
 def write_bound_csv(path, reports, meta) -> None:
     header = (
         "policy,n,K_hat,K_se,R_hat_z0,R_hat_z1,"

@@ -75,9 +75,6 @@ class SimulationTrace:
     initial_inventory: int
     horizon: float
 
-    def price_schedule(self):
-        return [(s.price, s.t_start, s.duration) for s in self.segments]
-
 
 def simulate_segment(
     state: MarketState,

@@ -7,17 +7,27 @@ estimate the demand rate at each grid point, re-center a narrower interval
 on the estimated optimum, and finally commit to a single price for the
 rest of the season.
 
-The main (two-track) policy watches for the inventory-constrained price
-sitting significantly above the revenue-maximizing price; when detected it
-hands over to a dedicated constrained track whose symmetric shrinks and
-denser grids suit root-finding rather than peak-finding.  The kink variant
-is a single track with symmetric shrinks and no final-price adjustment,
-built for revenue curves with a concave corner.
+One track runner does every learning iteration of every policy.  A track
+is set by its schedule, its left and right shrink widths (in grid steps),
+the estimate it re-centers on, and a hand-off margin.  Three settings are
+used:
 
-All policies track their own clock and never request past the season end;
-if the upcoming iteration no longer fits, learning stops and the best
-current estimate is applied for the remainder (the first iteration, having
-no predecessor, is instead truncated to whatever time is left).
+- revenue track (``dpa``): asymmetric shrinks, re-centers on
+  max(p_u_hat, p_c_hat), and hands off once p_c_hat sits more than the
+  transition threshold above p_u_hat;
+- constrained track (``dpa`` after a hand-off): symmetric shrinks and
+  denser grids suited to root-finding, re-centers on p_c_hat, never hands
+  off;
+- kink track (``dpa2``): symmetric shrinks, re-centers on
+  max(p_u_hat, p_c_hat), never hands off, and commits without any
+  final-price adjustment; built for revenue curves with a concave corner.
+
+All policies track their own clock and never request past the season end.
+An iteration that no longer fits is cut to the remaining time only while
+its track has no estimate yet; otherwise learning stops there and the
+current estimate is applied for the remainder.  The constrained track
+starts from the revenue track's hand-off estimate, so in practice only a
+first iteration is ever cut.
 """
 
 from __future__ import annotations
@@ -27,18 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandModel, ProblemInstance, deterministic_price
+from .demand import ProblemInstance, deterministic_price
 from .errors import ConfigError
-from .schedules import (
-    KinkSchedule,
-    LearningSchedule,
-    build_kink_schedule,
-    build_schedule,
-)
+from .schedules import TrackSchedule, build_kink_schedule, build_schedule
 
 _T_EPS = 1e-12
 
-POLICY_NAMES = ("dpa", "dpa2", "clairvoyant", "single_phase", "fixed", "synthetic")
+POLICY_NAMES = ("dpa", "dpa2", "clairvoyant", "single_phase", "fixed")
 
 
 class SeasonPolicy:
@@ -143,7 +148,8 @@ class SinglePhaseGridPolicy(SeasonPolicy):
 
 
 class _IntervalLearner(SeasonPolicy):
-    """Shared bookkeeping for the shrinking-interval policies."""
+    """Shared bookkeeping and the track runner of the shrinking-interval
+    policies."""
 
     def __init__(self, instance: ProblemInstance):
         super().__init__()
@@ -153,11 +159,10 @@ class _IntervalLearner(SeasonPolicy):
         self.p_hi = model.price_ceil
         self.ln_n = math.log(instance.market_size)
         self.target = instance.inventory / instance.horizon
-        self.interval_history = []  # (track, iteration, lo, hi) as used
-        self.u_estimates = []  # (iteration, p_u, p_c)
-        self.c_estimates = []  # (iteration, q)
+        # (track, i, lo, hi, p_u_hat, p_c_hat) per iteration started; the
+        # estimates stay None if the season ends inside the grid pass
+        self.iterations = []
         self.applied_price = None
-        self.degenerate = False
         self.truncated_learning = False
         self._t = 0.0
         self._degenerate_width = max(1e-12, 1e-10 * (self.p_hi - self.p_lo))
@@ -172,10 +177,63 @@ class _IntervalLearner(SeasonPolicy):
             self._t += delta
         return d_hat
 
-    def _shrink(self, center, left_width, right_width):
-        lo = max(center - left_width, self.p_lo)
-        hi = min(center + right_width, self.p_hi)
-        return lo, hi
+    def _run_track(
+        self,
+        track: str,
+        schedule: TrackSchedule,
+        lo: float,
+        hi: float,
+        left: float,
+        right: float,
+        center,
+        margin: float = math.inf,
+        estimate: float | None = None,
+    ):
+        """Run one learning track on [lo, hi]; a generator of segments.
+
+        Each iteration tests a grid, estimates p_u and p_c, and shrinks the
+        interval to [c - left * step, c + right * step] around
+        c = center(p_u_hat, p_c_hat), clamped to the price box.  The track
+        hands off when p_c_hat exceeds p_u_hat by more than margin grid
+        steps; ``estimate`` is the estimate the track starts from, if any.
+        Returns (estimate, grid step, lo, hi, handed off), where on a
+        hand-off the estimate is p_c_hat and [lo, hi] the interval just
+        tested.
+        """
+        T = self.instance.horizon
+        step = None
+        for i, (tau, kappa) in enumerate(zip(schedule.tau, schedule.kappa), start=1):
+            tau *= T
+            truncated = self._t + tau > T + _T_EPS
+            if truncated:
+                if estimate is not None:
+                    break
+                tau = T - self._t
+                self.truncated_learning = True
+            step = (hi - lo) / kappa
+            self.iterations.append((track, i, lo, hi, None, None))
+            d_hat = yield from self._grid_pass(lo, step, kappa, tau / kappa)
+            prices = lo + step * np.arange(kappa)
+            p_u = float(prices[int(np.argmax(prices * d_hat))])
+            p_c = float(prices[int(np.argmin(np.abs(d_hat - self.target)))])
+            self.iterations[-1] = (track, i, lo, hi, p_u, p_c)
+            estimate = center(p_u, p_c)
+            if truncated:
+                break
+            if p_c > p_u + margin * step:
+                return p_c, step, lo, hi, True
+            lo = max(estimate - left * step, self.p_lo)
+            hi = min(estimate + right * step, self.p_hi)
+            if hi - lo <= self._degenerate_width:
+                break
+        return estimate, step, lo, hi, False
+
+    def _commit(self, price):
+        """Apply ``price`` for whatever is left of the season."""
+        self.applied_price = price
+        remaining = self.instance.horizon - self._t
+        if remaining > _T_EPS:
+            yield (price, remaining)
 
 
 class DpaPolicy(_IntervalLearner):
@@ -198,163 +256,66 @@ class DpaPolicy(_IntervalLearner):
     def __init__(
         self,
         instance: ProblemInstance,
-        schedule: LearningSchedule | None = None,
         *,
         delta: float = 0.49,
         log_mode: str = "practical",
         step3_interval: str = "last",
-        transition_log_factor: bool | None = None,
     ):
         super().__init__(instance)
-        if schedule is None:
-            schedule = build_schedule(instance.market_size, delta, log_mode)
         if step3_interval not in ("last", "full"):
             raise ValueError("step3_interval must be 'last' or 'full'")
-        self.schedule = schedule
+        self.schedule = build_schedule(instance.market_size, delta, log_mode)
         self.step3_interval = step3_interval
-        if transition_log_factor is None:
-            transition_log_factor = schedule.log_mode == "theoretical"
         self.transition_factor = (
-            2.0 * math.sqrt(self.ln_n) if transition_log_factor else 2.0
+            2.0 * math.sqrt(self.ln_n) if log_mode == "theoretical" else 2.0
         )
         self.entered_step3 = False
-        self.i0 = None
 
     def _season(self):
-        inst = self.instance
-        sched = self.schedule
-        T = inst.horizon
-        lo, hi = self.p_lo, self.p_hi
-        best = None  # (price, grid step) feeding the final adjustment
-        c_seed = None  # constrained-track estimate carried into step 3
-        for i in range(1, sched.N_u + 1):
-            tau = sched.tau_u[i - 1] * T
-            truncated = False
-            if self._t + tau > T + _T_EPS:
-                if best is not None or c_seed is not None:
-                    break
-                tau = T - self._t
-                if tau <= _T_EPS:
-                    break
-                truncated = True
-                self.truncated_learning = True
-            kappa = sched.kappa_u[i - 1]
-            step = (hi - lo) / kappa
-            self.interval_history.append(("u", i, lo, hi))
-            d_hat = yield from self._grid_pass(lo, step, kappa, tau / kappa)
-            prices = lo + step * np.arange(kappa)
-            p_u = float(prices[int(np.argmax(prices * d_hat))])
-            p_c = float(prices[int(np.argmin(np.abs(d_hat - self.target)))])
-            self.u_estimates.append((i, p_u, p_c))
-            if truncated:
-                best = (max(p_u, p_c), step)
-                break
-            if p_c > p_u + self.transition_factor * step:
-                self.entered_step3 = True
-                self.i0 = i
-                c_seed = (p_c, step)
-                break
-            best = (max(p_u, p_c), step)
-            lo, hi = self._shrink(
-                best[0], (self.ln_n / 3.0) * step, (2.0 * self.ln_n / 3.0) * step
-            )
-            if hi - lo <= self._degenerate_width:
-                self.degenerate = True
-                break
+        revenue, constrained = self.schedule
+        price, step, lo, hi, self.entered_step3 = yield from self._run_track(
+            "u", revenue, self.p_lo, self.p_hi,
+            self.ln_n / 3.0, 2.0 * self.ln_n / 3.0, max, self.transition_factor,
+        )
         if self.entered_step3:
             if self.step3_interval == "full":
                 lo, hi = self.p_lo, self.p_hi
-            q_best = c_seed[0]
-            for i in range(1, sched.N_c + 1):
-                tau = sched.tau_c[i - 1] * T
-                if self._t + tau > T + _T_EPS:
-                    break
-                kappa = sched.kappa_c[i - 1]
-                step = (hi - lo) / kappa
-                self.interval_history.append(("c", i, lo, hi))
-                d_hat = yield from self._grid_pass(lo, step, kappa, tau / kappa)
-                prices = lo + step * np.arange(kappa)
-                q_best = float(prices[int(np.argmin(np.abs(d_hat - self.target)))])
-                self.c_estimates.append((i, q_best))
-                lo, hi = self._shrink(
-                    q_best, (self.ln_n / 2.0) * step, (self.ln_n / 2.0) * step
-                )
-                if hi - lo <= self._degenerate_width:
-                    self.degenerate = True
-                    break
-            final_price = q_best
+            price, _, _, _, _ = yield from self._run_track(
+                "c", constrained, lo, hi, self.ln_n / 2.0, self.ln_n / 2.0,
+                lambda p_u, p_c: p_c, estimate=price,
+            )
         else:
             # revenue track: shade the commitment up by the threshold width
-            final_price = min(
-                best[0] + 2.0 * math.sqrt(self.ln_n) * best[1], self.p_hi
-            )
-        self.applied_price = final_price
-        remaining = T - self._t
-        if remaining > _T_EPS:
-            yield (final_price, remaining)
+            price = min(price + 2.0 * math.sqrt(self.ln_n) * step, self.p_hi)
+        yield from self._commit(price)
 
 
 class KinkPolicy(_IntervalLearner):
     """Single-track learner for revenue curves with a concave corner.
 
     Same grid/estimate/shrink loop as the revenue track, but shrinks are
-    symmetric, the interval re-centers on max(p_c_hat, p_u_hat), and the
-    final price is committed without any upward adjustment: under the
-    corner's linear growth condition the estimate itself is already
-    accurate enough, and shading up would cost linearly.
+    symmetric, the track never hands off, and the final price is committed
+    without any upward adjustment: under the corner's linear growth
+    condition the estimate itself is already accurate enough, and shading
+    up would cost linearly.
     """
 
     def __init__(
         self,
         instance: ProblemInstance,
-        schedule: KinkSchedule | None = None,
         *,
         delta: float = 0.49,
         log_mode: str = "practical",
     ):
         super().__init__(instance)
-        if schedule is None:
-            schedule = build_kink_schedule(instance.market_size, delta, log_mode)
-        self.schedule = schedule
+        self.schedule = build_kink_schedule(instance.market_size, delta, log_mode)
 
     def _season(self):
-        inst = self.instance
-        sched = self.schedule
-        T = inst.horizon
-        lo, hi = self.p_lo, self.p_hi
-        best = None
-        for i in range(1, sched.N + 1):
-            tau = sched.tau[i - 1] * T
-            truncated = False
-            if self._t + tau > T + _T_EPS:
-                if best is not None:
-                    break
-                tau = T - self._t
-                if tau <= _T_EPS:
-                    break
-                truncated = True
-                self.truncated_learning = True
-            kappa = sched.kappa[i - 1]
-            step = (hi - lo) / kappa
-            self.interval_history.append(("kink", i, lo, hi))
-            d_hat = yield from self._grid_pass(lo, step, kappa, tau / kappa)
-            prices = lo + step * np.arange(kappa)
-            p_u = float(prices[int(np.argmax(prices * d_hat))])
-            p_c = float(prices[int(np.argmin(np.abs(d_hat - self.target)))])
-            self.u_estimates.append((i, p_u, p_c))
-            best = max(p_u, p_c)
-            if truncated:
-                break
-            lo, hi = self._shrink(
-                best, (self.ln_n / 2.0) * step, (self.ln_n / 2.0) * step
-            )
-            if hi - lo <= self._degenerate_width:
-                self.degenerate = True
-                break
-        self.applied_price = best
-        remaining = T - self._t
-        if remaining > _T_EPS:
-            yield (best, remaining)
+        price, _, _, _, _ = yield from self._run_track(
+            "kink", self.schedule, self.p_lo, self.p_hi,
+            self.ln_n / 2.0, self.ln_n / 2.0, max,
+        )
+        yield from self._commit(price)
 
 
 @dataclass(frozen=True)
@@ -368,7 +329,6 @@ class PolicyConfig:
     learn_fraction: float | None = None
     grid_size: int | None = None
     price: float | None = None
-    coefficient: float = 1.0  # synthetic stub: regret = coefficient * n^(-1/2)
 
     def __post_init__(self):
         if self.name not in POLICY_NAMES:
@@ -394,4 +354,4 @@ def make_policy(config: PolicyConfig, instance: ProblemInstance) -> SeasonPolicy
         return SinglePhaseGridPolicy(instance, config.learn_fraction, config.grid_size)
     if config.name == "fixed":
         return FixedPricePolicy(instance, config.price)
-    raise ConfigError(f"policy {config.name!r} cannot be simulated directly")
+    raise ConfigError(f"unknown policy {config.name!r}; know {POLICY_NAMES}")

@@ -58,8 +58,6 @@ def estimate_regret(
 ) -> RegretPoint:
     """Mean regret with a delta-method standard error (J^D is a constant).
 
-    The synthetic policy bypasses simulation entirely and reports the exact
-    power law coefficient * n^(-1/2); it exists to calibrate the slope fit.
     Callable-backed demand models may not pickle; run those with workers=1.
     """
     if replications < 2:
@@ -72,9 +70,6 @@ def estimate_regret(
         raise UndefinedRegretError(
             f"deterministic optimum is {jd}; regret is undefined"
         )
-    if config.name == "synthetic":
-        regret = config.coefficient / math.sqrt(n)
-        return RegretPoint(n, regret, 0.0, replications, jd * (1 - regret), jd)
     cells = [(instance, config, seed, rep) for rep in range(replications)]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

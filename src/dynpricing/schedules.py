@@ -19,16 +19,13 @@ Grid counts are floored to integers and clamped to at least 2.
 
 Iteration counts come from the delta-only bounds
 N1 = floor(log_{3/5}((1-2delta)/(1-delta))) + 1 (revenue track) and
-N2 likewise with ratio 2/3.  The finite-n stopping inequality is exposed
-separately as a diagnostic: evaluated literally at moderate n its polylog
-slack makes it fire at l = 1, which contradicts the intended multi-pass
-behavior, so it does not drive the schedule length (see the package notes).
+N2 likewise with ratio 2/3.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 LOG_MODES = ("theoretical", "practical")
 
@@ -58,11 +55,20 @@ def max_iterations(delta: float, shrink_ratio: float) -> int:
     return int(math.floor(x)) + 1
 
 
-def _track_arrays(n: int, delta: float, log_mode: str, track: str, count: int):
+@dataclass(frozen=True)
+class TrackSchedule:
+    """Per-iteration time budgets (fractions of the season) and grid sizes
+    of one learning track."""
+
+    tau: tuple
+    kappa: tuple
+
+
+def _track(n: int, delta: float, log_mode: str, track: str) -> TrackSchedule:
     scale, ratio, p1, p_rest = _TRACKS[track]
     ln_n = math.log(n)
     taus, kappas = [], []
-    for i in range(1, count + 1):
+    for i in range(1, max_iterations(delta, ratio) + 1):
         shrink = ratio ** (i - 1)
         kappa_raw = n ** (scale * shrink * (1.0 - delta)) * ln_n
         kappas.append(max(2, int(math.floor(kappa_raw))))
@@ -72,104 +78,20 @@ def _track_arrays(n: int, delta: float, log_mode: str, track: str, count: int):
         else:
             log_factor = 1.0
         taus.append(n**exponent * log_factor)
-    return tuple(taus), tuple(kappas)
+    return TrackSchedule(tuple(taus), tuple(kappas))
 
 
-def _monotonicity_warnings(label, taus, kappas):
-    out = []
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        out.append(f"{label}: tau not strictly increasing")
-    if any(b >= a for a, b in zip(kappas, kappas[1:])):
-        out.append(f"{label}: kappa not strictly decreasing after rounding")
-    return out
-
-
-@dataclass(frozen=True)
-class LearningSchedule:
-    """Two-track schedule for the main policy."""
-
-    tau_u: tuple
-    kappa_u: tuple
-    N_u: int
-    tau_c: tuple
-    kappa_c: tuple
-    N_c: int
-    delta: float
-    log_mode: str
-    n: int
-    warnings: tuple = field(default=())
-
-
-@dataclass(frozen=True)
-class KinkSchedule:
-    """Single-track schedule for the kinked-revenue policy."""
-
-    tau: tuple
-    kappa: tuple
-    N: int
-    delta: float
-    log_mode: str
-    n: int
-    warnings: tuple = field(default=())
-
-
-def build_schedule(n: int, delta: float = 0.49, log_mode: str = "practical") -> LearningSchedule:
+def build_schedule(
+    n: int, delta: float = 0.49, log_mode: str = "practical"
+) -> tuple[TrackSchedule, TrackSchedule]:
+    """(revenue track, constrained track) schedules of the main policy."""
     _validate(n, delta, log_mode)
-    n_u = max_iterations(delta, 3.0 / 5.0)
-    n_c = max_iterations(delta, 2.0 / 3.0)
-    tau_u, kappa_u = _track_arrays(n, delta, log_mode, "u", n_u)
-    tau_c, kappa_c = _track_arrays(n, delta, log_mode, "c", n_c)
-    warns = _monotonicity_warnings("u-track", tau_u, kappa_u)
-    warns += _monotonicity_warnings("c-track", tau_c, kappa_c)
-    return LearningSchedule(
-        tau_u=tau_u,
-        kappa_u=kappa_u,
-        N_u=n_u,
-        tau_c=tau_c,
-        kappa_c=kappa_c,
-        N_c=n_c,
-        delta=delta,
-        log_mode=log_mode,
-        n=int(n),
-        warnings=tuple(warns),
-    )
+    return _track(n, delta, log_mode, "u"), _track(n, delta, log_mode, "c")
 
 
-def build_kink_schedule(n: int, delta: float = 0.49, log_mode: str = "practical") -> KinkSchedule:
+def build_kink_schedule(
+    n: int, delta: float = 0.49, log_mode: str = "practical"
+) -> TrackSchedule:
+    """Single-track schedule of the kinked-revenue policy."""
     _validate(n, delta, log_mode)
-    count = max_iterations(delta, 2.0 / 3.0)
-    tau, kappa = _track_arrays(n, delta, log_mode, "kink", count)
-    return KinkSchedule(
-        tau=tau,
-        kappa=kappa,
-        N=count,
-        delta=delta,
-        log_mode=log_mode,
-        n=int(n),
-        warnings=tuple(_monotonicity_warnings("kink", tau, kappa)),
-    )
-
-
-def stopping_rule_iterations(
-    n: int, delta: float = 0.49, log_mode: str = "practical", track: str = "u"
-) -> int:
-    """Finite-n stopping rule: first l where the price-error scale of
-    iteration l drops below the first-iteration loss tau_1.
-
-    Revenue track compares ((width_l / kappa_l))^2 sqrt(log n) < tau_1,
-    the others the un-squared ratio.  Diagnostic only; see module notes.
-    """
-    _validate(n, delta, log_mode)
-    if track not in _TRACKS:
-        raise ValueError(f"track must be one of {tuple(_TRACKS)}")
-    cap = max_iterations(delta, _TRACKS[track][1])
-    taus, kappas = _track_arrays(n, delta, log_mode, track, cap)
-    ln_n = math.log(n)
-    width = 1.0  # normalized first interval
-    for l in range(1, cap + 1):
-        gran = width / kappas[l - 1]
-        err = gran * gran * math.sqrt(ln_n) if track == "u" else gran * math.sqrt(ln_n)
-        if err < taus[0]:
-            return l
-        width = ln_n * gran
-    return cap
+    return _track(n, delta, log_mode, "kink")

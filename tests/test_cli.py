@@ -37,7 +37,6 @@ FULL = ExperimentConfig(
     learn_fraction=0.1,
     grid_size=12,
     price=3.5,
-    coefficient=2.0,
     out="/tmp/x.csv",
     workers=4,
     check=True,
@@ -167,8 +166,9 @@ class TestCommands:
     def test_bad_flag_exits_2(self, capsys):
         assert main(["sweep", "--delta", "0.7"]) == 2
 
-    def test_synthetic_sweep_slope(self, capsys):
-        code = main(["sweep", "--policy", "synthetic", "--n", "100 1000 10000",
+    def test_synthetic_sweep_slope(self, capsys, power_law_regret):
+        power_law_regret(1.0)
+        code = main(["sweep", "--policy", "dpa", "--n", "100 1000 10000",
                      "--reps", "5", "--seed", "0"])
         assert code == 0
         assert "slope = -0.5" in capsys.readouterr().out

@@ -24,11 +24,6 @@ BASE = ProblemInstance(LIN, 20.0, 1.0, 10)
 
 
 class TestEstimate:
-    def test_synthetic_is_exact(self):
-        pt = estimate_regret(BASE.with_market_size(10**4), PolicyConfig("synthetic", coefficient=2.0), 10, seed=0)
-        assert pt.mean_regret == pytest.approx(0.02, rel=1e-12)
-        assert pt.std_error == 0.0
-
     def test_clairvoyant_regret_is_tiny(self):
         pt = estimate_regret(BASE.with_market_size(10**4), PolicyConfig("clairvoyant"), 50, seed=0)
         assert abs(pt.mean_regret) < 0.005
@@ -70,8 +65,9 @@ class TestFit:
 
 
 class TestSweep:
-    def test_synthetic_slope_recovered(self):
-        report = sweep(BASE, PolicyConfig("synthetic", coefficient=2.0), [100, 1000, 10000], 5, seed=0)
+    def test_synthetic_slope_recovered(self, power_law_regret):
+        power_law_regret(2.0)
+        report = sweep(BASE, PolicyConfig("dpa"), [100, 1000, 10000], 5, seed=0)
         assert report.slope == pytest.approx(-0.5, abs=1e-9)
         assert report.r_squared == pytest.approx(1.0, abs=1e-12)
         assert report.warnings == ()
@@ -79,10 +75,11 @@ class TestSweep:
 
     def test_needs_three_market_sizes(self):
         with pytest.raises(ValueError):
-            sweep(BASE, PolicyConfig("synthetic"), [100, 100, 1000], 5, seed=0)
+            sweep(BASE, PolicyConfig("dpa"), [100, 100, 1000], 5, seed=0)
 
-    def test_negative_regret_points_are_excluded_not_clamped(self):
-        report = sweep(BASE, PolicyConfig("synthetic", coefficient=-1.0), [100, 1000, 10000], 5, seed=0)
+    def test_negative_regret_points_are_excluded_not_clamped(self, power_law_regret):
+        power_law_regret(-1.0)
+        report = sweep(BASE, PolicyConfig("dpa"), [100, 1000, 10000], 5, seed=0)
         assert math.isnan(report.slope)
         assert any("excluded" in w for w in report.warnings)
         assert any("slope undefined" in w for w in report.warnings)
@@ -106,20 +103,24 @@ class TestRevenueBound:
 
 class TestCsv:
     def test_regret_csv_layout(self, tmp_path):
-        pt = estimate_regret(BASE.with_market_size(100), PolicyConfig("synthetic"), 5, seed=0)
+        pt = RegretPoint(
+            n=100, mean_regret=0.1, std_error=0.0,
+            replications=5, mean_revenue=6750.0, deterministic_value=7500.0,
+        )
         path = tmp_path / "r.csv"
-        write_regret_csv(path, [("synthetic", pt)], csv_meta("0.1.0", "cafe01", 0))
+        write_regret_csv(path, [("dpa", pt)], csv_meta("0.1.0", "cafe01", 0))
         lines = path.read_text().splitlines()
         assert lines[0] == "# version 0.1.0"
         assert lines[1] == "# config_hash cafe01"
         assert lines[2] == "# seed 0"
         assert lines[3] == "n,policy,replications,mean_regret,std_error"
-        assert lines[4] == "100,synthetic,5,0.1,0.0"
+        assert lines[4] == "100,dpa,5,0.1,0.0"
 
-    def test_slope_csv_layout(self, tmp_path):
-        report = sweep(BASE, PolicyConfig("synthetic"), [100, 1000, 10000], 5, seed=0)
+    def test_slope_csv_layout(self, tmp_path, power_law_regret):
+        power_law_regret(1.0)
+        report = sweep(BASE, PolicyConfig("dpa"), [100, 1000, 10000], 5, seed=0)
         path = tmp_path / "s.csv"
-        write_slope_csv(path, [("synthetic", report)], csv_meta("0.1.0", "cafe01", 0))
+        write_slope_csv(path, [("dpa", report)], csv_meta("0.1.0", "cafe01", 0))
         lines = path.read_text().splitlines()
         assert lines[3] == "policy,slope,intercept,r_squared"
-        assert lines[4].startswith("synthetic,-0.5")
+        assert lines[4].startswith("dpa,-0.5")

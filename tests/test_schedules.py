@@ -8,7 +8,6 @@ from dynpricing.schedules import (
     build_kink_schedule,
     build_schedule,
     max_iterations,
-    stopping_rule_iterations,
 )
 
 
@@ -22,54 +21,47 @@ def test_iteration_counts_at_default_delta():
 
 
 def test_schedule_at_reference_scale():
-    s = build_schedule(10**5, 0.49, "practical")
-    assert s.N_u == 7 and s.N_c == 8
-    assert s.kappa_u == (37, 23, 17, 14, 13, 12, 12)
-    assert s.kappa_c == (81, 42, 27, 20, 16, 14, 13, 12)
+    u, c = build_schedule(10**5, 0.49, "practical")
+    assert len(u.tau) == 7 and len(c.tau) == 8
+    assert u.kappa == (37, 23, 17, 14, 13, 12, 12)
+    assert c.kappa == (81, 42, 27, 20, 16, 14, 13, 12)
     # tau_1 = n^(1 - 2d - (1 - d)) = n^(-0.49)
-    assert s.tau_u[0] == pytest.approx((10**5) ** -0.49, rel=1e-12)
-    assert s.tau_u[0] == pytest.approx(3.548133892335755e-3, rel=1e-12)
-    assert s.tau_u[4] == pytest.approx(0.5881932008172602, rel=1e-12)
+    assert u.tau[0] == pytest.approx((10**5) ** -0.49, rel=1e-12)
+    assert u.tau[0] == pytest.approx(3.548133892335755e-3, rel=1e-12)
+    assert u.tau[4] == pytest.approx(0.5881932008172602, rel=1e-12)
     # both tracks share the first exponent 1 - 2d - (1 - d)
-    assert s.tau_c[0] == s.tau_u[0]
+    assert c.tau[0] == u.tau[0]
 
 
 def test_grid_sizes_follow_the_power_law():
     n, d = 10**5, 0.49
-    s = build_schedule(n, d, "practical")
-    for i, kappa in enumerate(s.kappa_u, start=1):
+    u, _ = build_schedule(n, d, "practical")
+    for i, kappa in enumerate(u.kappa, start=1):
         raw = n ** ((1.0 / 5.0) * (3.0 / 5.0) ** (i - 1) * (1 - d)) * math.log(n)
         assert kappa == max(2, math.floor(raw))
 
 
 def test_theoretical_mode_multiplies_polylog_factors():
     n = 10**5
-    prac = build_schedule(n, 0.49, "practical")
-    theo = build_schedule(n, 0.49, "theoretical")
-    assert theo.tau_u[0] == pytest.approx(prac.tau_u[0] * math.log(n) ** 3.5, rel=1e-12)
-    assert theo.tau_u[1] == pytest.approx(prac.tau_u[1] * math.log(n) ** 5.0, rel=1e-12)
-    assert theo.tau_c[0] == pytest.approx(prac.tau_c[0] * math.log(n) ** 2.5, rel=1e-12)
+    prac_u, prac_c = build_schedule(n, 0.49, "practical")
+    theo_u, theo_c = build_schedule(n, 0.49, "theoretical")
+    assert theo_u.tau[0] == pytest.approx(prac_u.tau[0] * math.log(n) ** 3.5, rel=1e-12)
+    assert theo_u.tau[1] == pytest.approx(prac_u.tau[1] * math.log(n) ** 5.0, rel=1e-12)
+    assert theo_c.tau[0] == pytest.approx(prac_c.tau[0] * math.log(n) ** 2.5, rel=1e-12)
     # the polylog factors push the first learning period past a unit season
     # at every desk-reachable n, which is why practical mode exists
-    assert theo.tau_u[0] > 1.0
-    assert theo.tau_u[0] == pytest.approx(18.371724561475855, rel=1e-12)
+    assert theo_u.tau[0] > 1.0
+    assert theo_u.tau[0] == pytest.approx(18.371724561475855, rel=1e-12)
 
 
 def test_kink_schedule_shapes():
     k = build_kink_schedule(10**5, 0.49, "practical")
-    s = build_schedule(10**5, 0.49, "practical")
-    assert k.N == 8
-    assert k.kappa == s.kappa_c  # same 1/3-exponent, 2/3-ratio track shape
-    assert k.tau == s.tau_c  # identical without log factors
+    _, c = build_schedule(10**5, 0.49, "practical")
+    assert len(k.tau) == 8
+    assert k == c  # same 1/3-exponent, 2/3-ratio shape, no log factors
     kt = build_kink_schedule(10**5, 0.49, "theoretical")
-    st = build_schedule(10**5, 0.49, "theoretical")
-    assert kt.tau[0] != st.tau_c[0]  # log powers differ (3.0 vs 2.5)
-
-
-def test_rounding_plateau_is_reported():
-    s = build_schedule(10**5, 0.49, "practical")
-    assert any("kappa" in w for w in s.warnings)  # (..., 12, 12) tail
-    assert not any("tau" in w for w in s.warnings)
+    _, ct = build_schedule(10**5, 0.49, "theoretical")
+    assert kt.tau[0] != ct.tau[0]  # log powers differ (3.0 vs 2.5)
 
 
 def test_validation():
@@ -80,11 +72,4 @@ def test_validation():
     with pytest.raises(ValueError):
         build_schedule(100, 0.49, "exact")
     with pytest.raises(ValueError):
-        stopping_rule_iterations(100, 0.49, "practical", "v")
-
-
-def test_stopping_rule_diagnostic_collapses_at_scale():
-    # the finite-n rule is satisfied immediately at n = 1e5: the first
-    # iteration's granularity error already undercuts tau_1, so iteration
-    # counts come from max_iterations, not from this rule
-    assert stopping_rule_iterations(10**5, 0.49, "practical", "u") == 1
+        build_kink_schedule(1, 0.49, "practical")
