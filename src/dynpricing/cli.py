@@ -1,16 +1,22 @@
 """Command-line front end: config files, experiment orchestration, CSV output.
 
 Config files are INI-style key = value sections ([experiment], [demand],
-[policy]); command-line flags override file values.  print_config emits a
-canonical form whose parse round-trips exactly, and its hash goes into
-every CSV header together with the package version and root seed.
+[policy]); command-line flags override file values.  One table, _KEYS,
+defines every key: unknown sections and keys are rejected, and ``check``
+takes ``true`` or ``false``.  print_config emits a canonical form whose
+parse round-trips exactly, and its hash goes into every CSV header
+together with the package version and root seed.  validate checks a
+config once, before any season is simulated.
 
 Commands:
   solve       closed-form benchmark prices and value for a demand spec
   run         Monte Carlo cell for one (instance, policy); trace CSV
   sweep       regret across market sizes; regret CSV + slope CSV
   lowerbound  worst-case family divergence/regret inequality report
-  check       acceptance suite; exit nonzero on any failed criterion
+  check       acceptance suite
+
+Exit codes: 0 ok, 1 a check failed (sweep --check, lowerbound, check),
+2 bad input.
 """
 
 from __future__ import annotations
@@ -46,27 +52,20 @@ from .regret_harness import (
     write_regret_csv,
     write_slope_csv,
 )
-from .lower_bound import evaluate_policy_bounds, write_bound_csv
+from .lower_bound import (
+    Z0, evaluate_policy_bounds, worst_case_instance, write_bound_csv, z1_of_n,
+)
 
 DEFAULT_N_VALUES = (10, 100, 1000, 10000, 100000)
 
 _DEMAND_ARITY = {
-    # family -> (param count, builder); optional trailing floor/ceil pair
-    "linear": (2, lambda ps, lo, hi: LinearDemand(*ps, **_bounds(lo, hi))),
-    "exponential": (2, lambda ps, lo, hi: ExponentialDemand(*ps, **_bounds(lo, hi))),
-    "logit": (2, lambda ps, lo, hi: LogitDemand(*ps, **_bounds(lo, hi))),
-    "piecewise": (4, lambda ps, lo, hi: PiecewiseLinearDemand(*ps, **_bounds(lo, hi))),
-    "worstcase": (1, lambda ps, lo, hi: WorstCaseLinear(ps[0])),
+    # family -> (param count, model); an optional floor/ceil pair may follow
+    "linear": (2, LinearDemand),
+    "exponential": (2, ExponentialDemand),
+    "logit": (2, LogitDemand),
+    "piecewise": (4, PiecewiseLinearDemand),
+    "worstcase": (1, WorstCaseLinear),
 }
-
-
-def _bounds(lo, hi):
-    out = {}
-    if lo is not None:
-        out["price_floor"] = lo
-    if hi is not None:
-        out["price_ceil"] = hi
-    return out
 
 
 @dataclass(frozen=True)
@@ -103,77 +102,84 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+def _int_list(text: str) -> tuple:
+    """Market sizes, comma or space separated; shared by --n and the n key."""
+    values = tuple(int(tok) for tok in text.replace(",", " ").split())
+    if not values:
+        raise ValueError("need at least one market size")
+    return values
+
+
+def _float_list(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split())
+
+
+# (section, key) -> (ExperimentConfig field, parser), in canonical order
+_KEYS = {
+    ("experiment", "command"): ("command", str),
+    ("experiment", "inventory"): ("inventory", float),
+    ("experiment", "horizon"): ("horizon", float),
+    ("experiment", "n"): ("n_values", _int_list),
+    ("experiment", "replications"): ("replications", int),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "out"): ("out", str),
+    ("experiment", "workers"): ("workers", int),
+    ("experiment", "check"): ("check", _bool),
+    ("demand", "family"): ("demand_family", str),
+    ("demand", "params"): ("demand_params", _float_list),
+    ("demand", "floor"): ("price_floor", float),
+    ("demand", "ceil"): ("price_ceil", float),
+    ("policy", "name"): ("policy", str),
+    ("policy", "delta"): ("delta", float),
+    ("policy", "log_mode"): ("log_mode", str),
+    ("policy", "step3_interval"): ("step3_interval", str),
+    ("policy", "learn_fraction"): ("learn_fraction", float),
+    ("policy", "grid_size"): ("grid_size", int),
+    ("policy", "price"): ("price", float),
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
+
+
 def print_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse_config round-trips it exactly."""
-    exp_keys = (
-        "command", "inventory", "horizon", "n_values", "replications",
-        "seed", "out", "workers", "check",
-    )
-    dem_keys = ("demand_family", "demand_params", "price_floor", "price_ceil")
-    pol_keys = (
-        "policy", "delta", "log_mode", "step3_interval", "learn_fraction",
-        "grid_size", "price",
-    )
-    rename = {
-        "demand_family": "family", "demand_params": "params",
-        "price_floor": "floor", "price_ceil": "ceil",
-        "n_values": "n", "policy": "name",
-    }
     out = []
-    for section, keys in (
-        ("experiment", exp_keys), ("demand", dem_keys), ("policy", pol_keys)
-    ):
+    for section in _SECTIONS:
         out.append(f"[{section}]")
-        for key in keys:
-            value = getattr(config, key)
-            if value is None:
-                continue
-            out.append(f"{rename.get(key, key)} = {_fmt(value)}")
+        for (sec, key), (field, _) in _KEYS.items():
+            value = getattr(config, field)
+            if sec == section and value is not None:
+                out.append(f"{key} = {_fmt(value)}")
         out.append("")
     return "\n".join(out)
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split())
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"bad config syntax: {exc}") from exc
     fields = {}
-
-    def take(section, key, field, convert):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
+    sections = parser.sections()
+    if parser.defaults():  # configparser keeps [DEFAULT] out of sections()
+        sections.insert(0, parser.default_section)
+    for section in sections:
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; know {list(_SECTIONS)}")
+        for key, raw in parser.items(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            field, parse = _KEYS[section, key]
             try:
-                fields[field] = convert(raw)
-            except (TypeError, ValueError) as exc:
+                fields[field] = parse(raw)
+            except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-    take("experiment", "command", "command", str)
-    take("experiment", "inventory", "inventory", float)
-    take("experiment", "horizon", "horizon", float)
-    take("experiment", "n", "n_values",
-         lambda s: tuple(int(tok) for tok in s.replace(",", " ").split()))
-    take("experiment", "replications", "replications", int)
-    take("experiment", "seed", "seed", int)
-    take("experiment", "out", "out", str)
-    take("experiment", "workers", "workers", int)
-    take("experiment", "check", "check", lambda s: s.strip().lower() == "true")
-    take("demand", "family", "demand_family", str)
-    take("demand", "params", "demand_params", _parse_floats)
-    take("demand", "floor", "price_floor", float)
-    take("demand", "ceil", "price_ceil", float)
-    take("policy", "name", "policy", str)
-    take("policy", "delta", "delta", float)
-    take("policy", "log_mode", "log_mode", str)
-    take("policy", "step3_interval", "step3_interval", str)
-    take("policy", "learn_fraction", "learn_fraction", float)
-    take("policy", "grid_size", "grid_size", int)
-    take("policy", "price", "price", float)
     return ExperimentConfig(**fields)
 
 
@@ -195,26 +201,20 @@ def build_demand(config: ExperimentConfig) -> DemandModel:
         raise ConfigError(
             f"unknown demand family {family!r}; know {sorted(_DEMAND_ARITY)}"
         )
-    arity, builder = _DEMAND_ARITY[family]
+    arity, model = _DEMAND_ARITY[family]
     params = config.demand_params
     if len(params) != arity:
         raise ConfigError(f"{family} needs {arity} parameters, got {len(params)}")
-    try:
-        return builder(params, config.price_floor, config.price_ceil)
-    except ValueError as exc:
-        raise ConfigError(f"demand spec rejected: {exc}") from exc
+    if model is WorstCaseLinear:  # the family fixes its own price box
+        return model(*params)
+    bounds = {"price_floor": config.price_floor, "price_ceil": config.price_ceil}
+    return model(*params, **{k: v for k, v in bounds.items() if v is not None})
 
 
 def build_policy_config(config: ExperimentConfig) -> PolicyConfig:
-    return PolicyConfig(
-        name=config.policy,
-        delta=config.delta,
-        log_mode=config.log_mode,
-        step3_interval=config.step3_interval,
-        learn_fraction=config.learn_fraction,
-        grid_size=config.grid_size,
-        price=config.price,
-    )
+    # every PolicyConfig option but the name has an ExperimentConfig namesake
+    options = dataclasses.fields(PolicyConfig)[1:]
+    return PolicyConfig(config.policy, **{f.name: getattr(config, f.name) for f in options})
 
 
 def build_instance(config: ExperimentConfig, n: int) -> ProblemInstance:
@@ -290,16 +290,13 @@ def cmd_sweep(config: ExperimentConfig, stdout) -> int:
         slope_path = _slope_path(config.out)
         write_slope_csv(slope_path, [(config.policy, report)], meta)
         print(f"wrote {config.out} and {slope_path}", file=stdout)
+    passed = True
     if config.check:
-        failures = []
         for point in report.per_n:
             ok, msg = check_revenue_bound(point)
             print(msg, file=stdout)
-            if not ok:
-                failures.append(msg)
-        if failures:
-            return 1
-    return 0
+            passed = passed and ok
+    return 0 if passed else 1
 
 
 def _slope_path(out: str) -> str:
@@ -350,6 +347,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each dest is the ExperimentConfig field the flag overrides
     parser = argparse.ArgumentParser(
         prog="dynpricing",
         description="Learning-while-doing pricing simulator and benchmarks",
@@ -362,8 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help='demand spec, e.g. "linear 30 3" or "piecewise 84 1 4 60" '
         "(optional trailing floor/ceil pair)",
     )
-    parser.add_argument("--n", help="market size(s), comma or space separated")
-    parser.add_argument("--reps", type=int, help="replications per cell")
+    parser.add_argument("--n", dest="n_values", type=_int_list,
+                        help="market size(s), comma or space separated")
+    parser.add_argument("--reps", dest="replications", type=int, help="replications per cell")
     parser.add_argument("--seed", type=int, help="root seed")
     parser.add_argument("--delta", type=float, help="learning exponent in (0, 1/2)")
     parser.add_argument("--log-mode", choices=("theoretical", "practical"))
@@ -377,91 +376,84 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _demand_fields(spec: str) -> dict:
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigError("empty demand spec")
-    family = tokens[0]
-    if family not in _DEMAND_ARITY:
-        raise ConfigError(
-            f"unknown demand family {family!r}; know {sorted(_DEMAND_ARITY)}"
-        )
-    arity = _DEMAND_ARITY[family][0]
-    values = tuple(float(tok) for tok in tokens[1:])
-    fields = {"demand_family": family}
-    if len(values) == arity:
-        fields["demand_params"] = values
-    elif len(values) == arity + 2:
-        fields["demand_params"] = values[:arity]
-        fields["price_floor"] = values[arity]
-        fields["price_ceil"] = values[arity + 1]
-    else:
-        raise ConfigError(
-            f"{family} takes {arity} parameters plus an optional floor/ceil pair"
-        )
-    return fields
+    """Split a --demand spec into config fields; build_demand checks them."""
+    family, *tokens = spec.split() or [""]
+    try:
+        params = tuple(float(tok) for tok in tokens)
+    except ValueError as exc:
+        raise ConfigError(f"demand spec {spec!r}: {exc}") from exc
+    arity = _DEMAND_ARITY[family][0] if family in _DEMAND_ARITY else None
+    if arity is not None and len(params) == arity + 2:
+        return {
+            "demand_family": family, "demand_params": params[:arity],
+            "price_floor": params[arity], "price_ceil": params[arity + 1],
+        }
+    return {"demand_family": family, "demand_params": params}
 
 
 def parse_args(argv) -> ExperimentConfig:
-    args = _build_parser().parse_args(argv)
-    if args.config:
-        with open(args.config) as fh:
-            config = parse_config(fh.read())
-    else:
-        config = ExperimentConfig()
-    overrides: dict = {"command": args.command}
-    if args.policy is not None:
-        overrides["policy"] = args.policy
-    if args.demand is not None:
-        overrides.update(_demand_fields(args.demand))
-    if args.n is not None:
-        overrides["n_values"] = tuple(
-            int(tok) for tok in args.n.replace(",", " ").split()
-        )
-    if args.reps is not None:
-        overrides["replications"] = args.reps
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.log_mode is not None:
-        overrides["log_mode"] = args.log_mode
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.check is not None:
-        overrides["check"] = args.check
-    config = dataclasses.replace(config, **overrides)
-    _validate(config)
-    return config
+    args = vars(_build_parser().parse_args(argv))
+    path, spec = args.pop("config"), args.pop("demand")
+    config = ExperimentConfig()
+    if path is not None:
+        try:
+            with open(path) as fh:
+                config = parse_config(fh.read())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    overrides = {field: value for field, value in args.items() if value is not None}
+    if spec is not None:
+        overrides.update(_demand_fields(spec))
+    return dataclasses.replace(config, **overrides)
+
+
+def validate(config: ExperimentConfig) -> None:
+    """The input boundary: ConfigError for a config its command cannot run.
+
+    Checks that no library constructor makes are made here.  The rest are
+    the constructors' own: this builds every instance the command uses and,
+    except for solve, a policy on each, and reports their ValueError.
+    """
+    command = config.command
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    if config.workers < 1:
+        raise ConfigError("workers must be positive")
+    if config.seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    min_reps = 2 if command in ("sweep", "lowerbound") else 1
+    if config.replications < min_reps:
+        raise ConfigError(f"{command} needs replications >= {min_reps}")
+    if command == "sweep" and len(set(config.n_values)) < 3:
+        raise ConfigError("sweep needs at least 3 distinct market sizes")
+    if command == "check":
+        return
+    try:
+        if command == "lowerbound":
+            n = config.n_values[0]
+            instances = [worst_case_instance(Z0, n), worst_case_instance(z1_of_n(n), n)]
+        else:
+            n_values = config.n_values if command == "sweep" else config.n_values[:1]
+            instances = [build_instance(config, n) for n in n_values]
+        if command != "solve":
+            pol_config = build_policy_config(config)
+            for instance in instances:
+                make_policy(pol_config, instance)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if command in ("run", "sweep") and not deterministic_value(
+            instances[0].demand, config.inventory, config.horizon) > 0:
+        raise ConfigError("deterministic optimum J_D is 0, so regret is undefined")
 
 
 def main(argv=None) -> int:
     try:
         config = parse_args(argv if argv is not None else sys.argv[1:])
+        validate(config)
         return _COMMANDS[config.command](config, sys.stdout)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _validate(config: ExperimentConfig) -> None:
-    if config.command not in _COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    if config.replications < 1:
-        raise ConfigError("replications must be positive")
-    if not config.n_values or any(n < 1 for n in config.n_values):
-        raise ConfigError("market sizes must be positive integers")
-    if not (0.0 < config.delta < 0.5):
-        raise ConfigError("delta must lie in (0, 1/2)")
-    if config.log_mode not in ("theoretical", "practical"):
-        raise ConfigError(f"unknown log_mode {config.log_mode!r}")
-    if config.workers < 1:
-        raise ConfigError("workers must be positive")
-    if config.policy not in POLICY_NAMES:
-        raise ConfigError(f"unknown policy {config.policy!r}; know {POLICY_NAMES}")
-    if config.inventory < 0 or config.horizon <= 0:
-        raise ConfigError("need inventory >= 0 and horizon > 0")
 
 
 if __name__ == "__main__":

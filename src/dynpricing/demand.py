@@ -365,10 +365,10 @@ class ProblemInstance:
     market_size: int
 
     def __post_init__(self):
-        if self.inventory < 0:
-            raise ValueError("inventory must be nonnegative")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not (0 <= self.inventory < math.inf):
+            raise ValueError("inventory must be finite and nonnegative")
+        if not (0 < self.horizon < math.inf):
+            raise ValueError("horizon must be finite and positive")
         if self.market_size < 1:
             raise ValueError("market size must be at least 1")
 

@@ -133,8 +133,8 @@ def evaluate_policy_bounds(
     z1 = z1_of_n(n)
     inst0 = worst_case_instance(Z0, n)
     inst1 = worst_case_instance(z1, n)
-    jd0 = n * pD_of_z(Z0) * min(WC_HORIZON * _rate(pD_of_z(Z0), Z0), WC_INVENTORY)
-    jd1 = n * pD_of_z(z1) * min(WC_HORIZON * _rate(pD_of_z(z1), z1), WC_INVENTORY)
+    jd0, jd1 = (n * p * min(WC_HORIZON * inst.demand.rate(p), WC_INVENTORY)
+                for inst, p in ((inst0, pD_of_z(Z0)), (inst1, pD_of_z(z1))))
 
     kls, revs0, revs1 = [], [], []
     for rep in range(replications):

@@ -85,10 +85,15 @@ class ClairvoyantPolicy(SeasonPolicy):
 
 
 class FixedPricePolicy(SeasonPolicy):
-    """Posts one given price for the whole season."""
+    """Posts one given price, inside the price box, for the whole season."""
 
     def __init__(self, instance: ProblemInstance, price: float):
         super().__init__()
+        model = instance.demand
+        if not (model.price_floor <= price <= model.price_ceil):
+            raise ValueError(
+                f"fixed price {price!r} outside [{model.price_floor}, {model.price_ceil}]"
+            )
         self.instance = instance
         self.applied_price = float(price)
 
@@ -352,6 +357,4 @@ def make_policy(config: PolicyConfig, instance: ProblemInstance) -> SeasonPolicy
         return ClairvoyantPolicy(instance)
     if config.name == "single_phase":
         return SinglePhaseGridPolicy(instance, config.learn_fraction, config.grid_size)
-    if config.name == "fixed":
-        return FixedPricePolicy(instance, config.price)
-    raise ConfigError(f"unknown policy {config.name!r}; know {POLICY_NAMES}")
+    return FixedPricePolicy(instance, config.price)  # PolicyConfig checked the name

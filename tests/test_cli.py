@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from dynpricing import cli, lower_bound, regret_harness
 from dynpricing.cli import (
     DEFAULT_N_VALUES,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from dynpricing.cli import (
     parse_args,
     parse_config,
     print_config,
+    validate,
 )
 from dynpricing.demand import ExponentialDemand, LinearDemand, PiecewiseLinearDemand, WorstCaseLinear
 from dynpricing.errors import ConfigError
@@ -89,12 +91,6 @@ class TestBuilders:
         config = parse_args(["solve", "--demand", "worstcase 0.5"])
         assert isinstance(build_demand(config), WorstCaseLinear)
 
-    def test_demand_arity_enforced(self):
-        with pytest.raises(ConfigError):
-            parse_args(["solve", "--demand", "linear 30"])
-        with pytest.raises(ConfigError):
-            parse_args(["solve", "--demand", "mystery 1 2"])
-
     def test_bounds_pair_optional(self):
         config = parse_args(["solve", "--demand", "linear 30 3 0.5 6.5"])
         model = build_demand(config)
@@ -108,17 +104,82 @@ class TestBuilders:
         inst = build_instance(config, 100)
         assert inst.market_size == 100 and inst.inventory == 20.0
 
+
+# Inputs a command cannot run: (argv, config file text or None).  Small
+# market sizes and replication counts keep a regression cheap.
+BAD_INPUTS = {
+    "dpa n=1": (["run", "--policy", "dpa", "--n", "1"], None),
+    "dpa2 n=1": (["run", "--policy", "dpa2", "--n", "1"], None),
+    "sweep n=1 last": (["sweep", "--n", "100 1000 1", "--reps", "5"], None),
+    "sweep 1 rep": (["sweep", "--n", "100 1000 10000", "--reps", "1"], None),
+    "sweep 2 distinct n": (["sweep", "--n", "100 100 1000", "--reps", "5"], None),
+    "lowerbound 1 rep": (["lowerbound", "--n", "1000", "--reps", "1"], None),
+    "lowerbound n=5": (["lowerbound", "--n", "5", "--reps", "5"], None),
+    "run no inventory": (["run", "--n", "100", "--reps", "5"], "[experiment]\ninventory = 0\n"),
+    "sweep no inventory": (["sweep", "--n", "100 1000 10000", "--reps", "5"],
+                           "[experiment]\ninventory = 0\n"),
+    "demand not numeric": (["solve", "--demand", "linear a b"], None),
+    "n not numeric": (["run", "--n", "ten"], None),
+    "n empty": (["run"], "[experiment]\nn =\n"),
+    "missing config": (["run", "--config", "missing.ini"], None),
+    "step3_interval": (["run", "--n", "100", "--reps", "5"], "[policy]\nstep3_interval = bogus\n"),
+    "learn_fraction": (["run", "--n", "100", "--reps", "5"],
+                       "[policy]\nname = single_phase\nlearn_fraction = 2\n"),
+    "grid_size": (["run", "--n", "100", "--reps", "5"],
+                  "[policy]\nname = single_phase\ngrid_size = 1\n"),
+    "negative seed": (["run", "--n", "100", "--reps", "5"], "[experiment]\nseed = -1\n"),
+    "unknown key": (["run", "--n", "100", "--reps", "5"], "[experiment]\nreplicatons = 5\n"),
+    "unknown section": (["run", "--n", "100", "--reps", "5"], "[polcy]\nname = dpa\n"),
+    "removed key": (["run", "--n", "100", "--reps", "5"], "[policy]\ncoefficient = 1.0\n"),
+    "check not boolean": (["run", "--n", "100", "--reps", "5"], "[experiment]\ncheck = yes\n"),
+    "fixed price off box": (["run", "--n", "100", "--reps", "5"],
+                            "[policy]\nname = fixed\nprice = 50\n"),
+    "infinite inventory": (["run", "--n", "100", "--reps", "5"], "[experiment]\ninventory = inf\n"),
+    "horizon nan": (["solve"], "[experiment]\nhorizon = nan\n"),
+}
+
+
+class TestBoundary:
     def test_validation_errors(self):
-        # value-level checks raise ConfigError; enumerated flags are
-        # rejected by the argument parser itself
+        # value-level checks raise ConfigError at the boundary; enumerated
+        # flags are rejected by the argument parser itself
         with pytest.raises(ConfigError):
-            parse_args(["sweep", "--delta", "0.6"])
+            validate(parse_args(["sweep", "--delta", "0.6"]))
         with pytest.raises(ConfigError):
-            parse_args(["sweep", "--reps", "0"])
+            validate(parse_args(["sweep", "--reps", "0"]))
         with pytest.raises(SystemExit):
             parse_args(["sweep", "--log-mode", "fast"])
         with pytest.raises(SystemExit):
             parse_args(["run", "--policy", "oracle"])
+
+    def test_demand_arity_enforced(self):
+        with pytest.raises(ConfigError):
+            validate(parse_args(["solve", "--demand", "linear 30"]))
+        with pytest.raises(ConfigError):
+            validate(parse_args(["solve", "--demand", "mystery 1 2"]))
+
+    @pytest.mark.parametrize("argv, text", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exits_2_before_simulating(self, argv, text, tmp_path, monkeypatch, capsys):
+        def simulate(*args, **kwargs):
+            raise AssertionError("a season was simulated")
+
+        for module in (cli, regret_harness, lower_bound):
+            monkeypatch.setattr(module, "run_policy", simulate)
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "exp.ini").write_text(text)
+            argv = argv + ["--config", "exp.ini"]
+        usage_error = False
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            usage_error, code = True, exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        if usage_error:  # argparse's own, accepted for --n ten only
+            assert "ten" in argv and "error: argument --n" in err
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCommands:

@@ -181,3 +181,7 @@ class TestProblemInstance:
             ProblemInstance(LIN, 20.0, 0.0, 10)
         with pytest.raises(ValueError):
             ProblemInstance(LIN, 20.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            ProblemInstance(LIN, math.inf, 1.0, 10)
+        with pytest.raises(ValueError):
+            ProblemInstance(LIN, 20.0, math.nan, 10)

@@ -57,6 +57,10 @@ class TestBaselines:
         inst = lin_instance(1000)
         trace = run_policy(inst, FixedPricePolicy(inst, 3.0), seed=(0, 1000, 0))
         assert trace.segments[0].price == 3.0
+        # the price must lie in the box [0.1, 10.0] when the policy is built
+        for price in (50.0, 0.05, float("nan")):
+            with pytest.raises(ValueError):
+                FixedPricePolicy(inst, price)
 
     def test_single_phase_grid_then_commit(self):
         inst = lin_instance(10**4)
