@@ -3,7 +3,9 @@
 The package is organized around a small set of pieces:
 
 ``demand``
-    parametric demand families, deterministic benchmark prices and values
+    the five demand families (linear, exponential, logit, piecewise linear
+    with a kink, worst-case linear), deterministic benchmark prices and
+    values
 ``market_sim``
     Poisson market simulator and the policy/segment protocol
 ``schedules`` / ``policies``
@@ -26,10 +28,8 @@ from .demand import (
     ExponentialDemand,
     LogitDemand,
     PiecewiseLinearDemand,
-    TabulatedDemand,
     WorstCaseLinear,
     ProblemInstance,
-    advertisement_transform,
     deterministic_price,
     deterministic_value,
     solve_pc,
@@ -70,10 +70,8 @@ __all__ = [
     "ExponentialDemand",
     "LogitDemand",
     "PiecewiseLinearDemand",
-    "TabulatedDemand",
     "WorstCaseLinear",
     "ProblemInstance",
-    "advertisement_transform",
     "deterministic_price",
     "deterministic_value",
     "solve_pc",

@@ -73,7 +73,7 @@ def _both_instances():
     return (("linear", LINEAR), ("exponential", EXPONENTIAL))
 
 
-def criterion_1(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_1(seed: int, workers: int) -> CriterionResult:
     """Closed-form prices and values for the two reference demand curves."""
     t0 = time.time()
     pu_lin = solve_pu(LINEAR)
@@ -95,10 +95,10 @@ def criterion_1(seed: int, workers: int, quick: bool) -> CriterionResult:
     return CriterionResult(1, "closed-form benchmark", all(checks), detail, elapsed)
 
 
-def criterion_2(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_2(seed: int, workers: int) -> CriterionResult:
     """Log-log regret slopes near the published fits on both instances."""
     t0 = time.time()
-    reps = 100 if quick else 1000
+    reps = 1000
     n_values = (100, 1000, 10000, 100000)
     config = PolicyConfig("dpa")
     targets = {"linear": -0.444, "exponential": -0.465}
@@ -115,11 +115,11 @@ def criterion_2(seed: int, workers: int, quick: bool) -> CriterionResult:
     return CriterionResult(2, "regret slope reproduction", ok, "; ".join(details), elapsed)
 
 
-def criterion_3(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_3(seed: int, workers: int) -> CriterionResult:
     """Paired-seed ordering: clairvoyant < dpa < single_phase at n=1e5."""
     t0 = time.time()
     n = 10**5
-    reps = 100 if quick else 400
+    reps = 400
     ok = True
     details = []
     for name, model in _both_instances():
@@ -163,10 +163,10 @@ def _interval_stats(model, n, runs, seed):
     return contained / runs, entered / runs
 
 
-def criterion_4(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_4(seed: int, workers: int) -> CriterionResult:
     """Optimal price stays inside every learning interval in >= 95% of runs."""
     t0 = time.time()
-    runs = 50 if quick else 200
+    runs = 200
     n = 10**5
     freqs = {}
     for name, model in _both_instances():
@@ -179,10 +179,10 @@ def criterion_4(seed: int, workers: int, quick: bool) -> CriterionResult:
     return CriterionResult(4, "interval containment", ok, detail, time.time() - t0)
 
 
-def criterion_5(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_5(seed: int, workers: int) -> CriterionResult:
     """Constrained-track transition fires on the right instance only."""
     t0 = time.time()
-    runs = 50 if quick else 200
+    runs = 200
     n = 10**5
     _, entry_lin = _interval_stats(LINEAR, n, runs, seed)
     _, entry_exp = _interval_stats(EXPONENTIAL, n, runs, seed)
@@ -191,10 +191,10 @@ def criterion_5(seed: int, workers: int, quick: bool) -> CriterionResult:
     return CriterionResult(5, "track transition", ok, detail, time.time() - t0)
 
 
-def criterion_6(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_6(seed: int, workers: int) -> CriterionResult:
     """Segment counts match Poisson moments; tail frequency within band."""
     t0 = time.time()
-    reps = 10**3 if quick else 10**4
+    reps = 10**4
     n = 10**4
     instance = ProblemInstance(LINEAR, BENCH_X, BENCH_T, n)
     price, duration = 5.0, 0.01
@@ -225,11 +225,11 @@ def criterion_6(seed: int, workers: int, quick: bool) -> CriterionResult:
     return CriterionResult(6, "simulator statistics", ok, detail, time.time() - t0)
 
 
-def criterion_7(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_7(seed: int, workers: int) -> CriterionResult:
     """Worst-case family: zero divergence at p=1, both inequalities, closed form."""
     t0 = time.time()
     n = 10**4
-    reps = 100 if quick else 1000
+    reps = 1000
     inst0 = worst_case_instance(Z0, n)
     flat = run_policy(
         inst0, make_policy(PolicyConfig("fixed", price=1.0), inst0), seed=(seed, n, 0)
@@ -258,7 +258,7 @@ def criterion_7(seed: int, workers: int, quick: bool) -> CriterionResult:
     )
 
 
-def criterion_8(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_8(seed: int, workers: int) -> CriterionResult:
     """Identical config and seed give byte-identical CSV output."""
     from .cli import main as cli_main
 
@@ -270,7 +270,7 @@ def criterion_8(seed: int, workers: int, quick: bool) -> CriterionResult:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli_main([
                     "sweep", "--policy", "dpa", "--demand", "linear 30 3",
-                    "--n", "100 1000 10000", "--reps", "20" if quick else "100",
+                    "--n", "100 1000 10000", "--reps", "100",
                     "--seed", str(seed), "--out", out,
                 ])
             assert code == 0
@@ -285,10 +285,10 @@ def criterion_8(seed: int, workers: int, quick: bool) -> CriterionResult:
     return CriterionResult(8, "bitwise reproducibility", ok, detail, time.time() - t0)
 
 
-def criterion_9(seed: int, workers: int, quick: bool) -> CriterionResult:
+def criterion_9(seed: int, workers: int) -> CriterionResult:
     """Corner finding: applied price within 0.05 of the kink, regret scaling."""
     t0 = time.time()
-    runs = 50 if quick else 200
+    runs = 200
     kink = KINKED.kink
     stats = {}
     for n in (10**3, 10**5):
@@ -322,12 +322,12 @@ CRITERIA = (
 )
 
 
-def run_all(seed: int = 0, workers: int = 1, quick: bool = False, stream=None):
+def run_all(seed: int = 0, workers: int = 1, stream=None):
     """Run every criterion, print one line each, return the results."""
     stream = stream if stream is not None else sys.stdout
     results = []
     for criterion in CRITERIA:
-        result = criterion(seed, workers, quick)
+        result = criterion(seed, workers)
         results.append(result)
         status = "PASS" if result.passed else "FAIL"
         print(

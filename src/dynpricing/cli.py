@@ -159,12 +159,14 @@ def print_config(config: ExperimentConfig) -> str:
     return "\n".join(out)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
+    """Config from INI text; source names the file in syntax errors."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_string(text, source=source)
     except configparser.Error as exc:
-        raise ConfigError(f"bad config syntax: {exc}") from exc
+        # configparser spreads the file, line number and text over lines
+        raise ConfigError(f"bad config syntax: {' '.join(str(exc).split())}") from exc
     fields = {}
     sections = parser.sections()
     if parser.defaults():  # configparser keeps [DEFAULT] out of sections()
@@ -205,10 +207,11 @@ def build_demand(config: ExperimentConfig) -> DemandModel:
     params = config.demand_params
     if len(params) != arity:
         raise ConfigError(f"{family} needs {arity} parameters, got {len(params)}")
-    if model is WorstCaseLinear:  # the family fixes its own price box
-        return model(*params)
     bounds = {"price_floor": config.price_floor, "price_ceil": config.price_ceil}
-    return model(*params, **{k: v for k, v in bounds.items() if v is not None})
+    bounds = {k: v for k, v in bounds.items() if v is not None}
+    if bounds and model is WorstCaseLinear:
+        raise ConfigError("worstcase fixes its own price box [0.5, 1.5]; drop floor/ceil")
+    return model(*params, **bounds)
 
 
 def build_policy_config(config: ExperimentConfig) -> PolicyConfig:
@@ -398,7 +401,7 @@ def parse_args(argv) -> ExperimentConfig:
     if path is not None:
         try:
             with open(path) as fh:
-                config = parse_config(fh.read())
+                config = parse_config(fh.read(), source=path)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
     overrides = {field: value for field, value in args.items() if value is not None}

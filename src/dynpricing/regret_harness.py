@@ -56,10 +56,7 @@ def estimate_regret(
     seed: int,
     workers: int | None = None,
 ) -> RegretPoint:
-    """Mean regret with a delta-method standard error (J^D is a constant).
-
-    Callable-backed demand models may not pickle; run those with workers=1.
-    """
+    """Mean regret with a delta-method standard error (J^D is a constant)."""
     if replications < 2:
         raise ValueError("need at least 2 replications")
     n = instance.market_size

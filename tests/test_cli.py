@@ -1,6 +1,7 @@
 """Command line front end: config round-trip, commands, reproducibility."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -67,6 +68,16 @@ class TestConfigRoundTrip:
     def test_malformed_file_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[experiment]\nreplications = soon\n")
+
+    @pytest.mark.parametrize("text, line", [("n = 100\n", 1), ("[experiment]\nseed\n", 2)])
+    def test_syntax_error_names_file_and_line(self, text, line, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            parse_args(["run", "--config", str(path)])
+        message = str(exc.value)
+        assert "\n" not in message and str(path) in message
+        assert re.search(rf"line:? {line}\b", message)
 
 
 class TestHash:
@@ -136,6 +147,13 @@ BAD_INPUTS = {
                             "[policy]\nname = fixed\nprice = 50\n"),
     "infinite inventory": (["run", "--n", "100", "--reps", "5"], "[experiment]\ninventory = inf\n"),
     "horizon nan": (["solve"], "[experiment]\nhorizon = nan\n"),
+    "no section header": (["run", "--n", "100", "--reps", "5"], "n = 100\n"),
+    "key without value": (["run", "--n", "100", "--reps", "5"], "[experiment]\nseed\n"),
+    "worstcase box flag": (["solve", "--demand", "worstcase 0.5 0.8 1.2"], None),
+    "worstcase box file": (["solve"], "[demand]\nfamily = worstcase\nparams = 0.5\n"
+                                      "floor = 0.8\nceil = 1.2\n"),
+    "negative rate in box": (["solve", "--demand", "linear 30 3 0.1 11"], None),
+    "rate underflows flat": (["solve", "--demand", "exponential 80 1000"], None),
 }
 
 

@@ -7,15 +7,12 @@ import pytest
 
 from dynpricing.demand import (
     P_INF,
-    CallableDemand,
     ExponentialDemand,
     LinearDemand,
     LogitDemand,
     PiecewiseLinearDemand,
     ProblemInstance,
-    TabulatedDemand,
     WorstCaseLinear,
-    advertisement_transform,
     deterministic_price,
     deterministic_value,
     solve_pc,
@@ -42,20 +39,13 @@ class TestRateInterface:
         # 30 - 3p hits zero exactly at the ceiling p = 10
         assert LIN.rate(10.0) == 0.0
 
-    def test_inverse_round_trip(self):
-        for model in (LIN, EXP, LogitDemand(0.5, 1.0), PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0)):
-            for p in np.linspace(model.price_floor, model.price_ceil, 17)[1:-1]:
-                assert model.inverse(model.rate(p)) == pytest.approx(p, abs=1e-9)
-
-    def test_inverse_out_of_range_rejected(self):
-        with pytest.raises(PriceDomainError):
-            LIN.inverse(31.0)
-
     def test_monotone_decreasing_enforced(self):
         with pytest.raises(ValueError):
             LinearDemand(30.0, -3.0)
-        with pytest.raises(ValueError):
-            CallableDemand(lambda p: p, 0.1, 1.0)  # increasing
+        with pytest.raises(ValueError, match="negative"):
+            LinearDemand(30.0, 3.0, price_ceil=11.0)  # rate -3 at the ceiling
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            ExponentialDemand(80.0, 1000.0)  # rate underflows to a flat 0
 
 
 class TestFamilies:
@@ -89,22 +79,6 @@ class TestFamilies:
             assert WorstCaseLinear(z).rate(1.0) == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ValueError):
             WorstCaseLinear(0.2)
-
-    def test_tabulated_interpolates(self):
-        model = TabulatedDemand((1.0, 2.0, 4.0), (10.0, 8.0, 2.0))
-        assert model.rate(1.5) == pytest.approx(9.0)
-        assert model.inverse(5.0) == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            TabulatedDemand((1.0, 2.0), (5.0, 5.0))  # not strictly decreasing
-
-    def test_advertisement_reduces_to_pricing(self):
-        # fixed posted price 10, demand grows with intensity a on [0, 5]:
-        # effective price w = 10 - a gives lambda(w) = 2 + (10 - w) = 12 - w
-        model = advertisement_transform(10.0, lambda a: 2.0 + a, 0.0, 5.0)
-        assert model.price_floor == pytest.approx(5.0)
-        assert model.price_ceil == pytest.approx(10.0)
-        assert model.rate(6.0) == pytest.approx(6.0, abs=1e-9)
-
 
 class TestSolvers:
     def test_linear_unconstrained_price(self):
@@ -143,30 +117,6 @@ class TestSolvers:
         assert solve_pu(model) == pytest.approx(4.0, abs=1e-6)
         assert solve_pc(model, 81.0, 1.0) == pytest.approx(3.0, abs=1e-9)
         assert deterministic_value(model, 81.0, 1.0, 1) == pytest.approx(320.0, abs=1e-4)
-
-    def test_tabulated_solver_scans_first(self):
-        ps = np.linspace(0.5, 9.5, 181)
-        model = TabulatedDemand(tuple(ps), tuple(30.0 - 3.0 * ps))
-        assert solve_pu(model) == pytest.approx(5.0, abs=1e-3)
-
-
-class TestRegularityConstants:
-    def test_linear_closed_forms(self):
-        c = LIN.constants
-        assert c.M == pytest.approx(30.0 - 3.0 * 0.1)
-        assert c.K == pytest.approx(30.0)  # |r'(p)| at the ceiling dominates
-        assert c.m_L == pytest.approx(2.0 / 3.0)
-        assert c.m_U == pytest.approx(2.0 / 3.0)
-
-    def test_exponential_sampled_curvature_brackets(self):
-        # r(lam) = lam ln(a/lam)/b has r'' = -1/(b lam); the sampled
-        # bracket must land inside the analytic range over the rate grid
-        c = EXP.constants
-        lam_lo, lam_hi = EXP.rate(EXP.price_ceil), EXP.rate(EXP.price_floor)
-        assert 0.0 < c.m_U <= c.m_L
-        assert c.m_L <= 1.05 * (1.0 / (0.5 * lam_lo))
-        assert c.m_U >= 0.95 * (1.0 / (0.5 * lam_hi))
-
 
 class TestProblemInstance:
     def test_inventory_scaling_floors(self):
