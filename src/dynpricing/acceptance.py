@@ -1,8 +1,9 @@
 """End-to-end benchmark gates for the whole package.
 
 Each criterion exercises the public API at full experimental scale and
-prints one PASS/FAIL line.  run_all returns the results so callers (the
-check command, the test suite) can turn failures into exit codes.
+prints one PASS/FAIL line, which ends with the criterion's elapsed
+seconds.  run_all returns the results so callers (the check command, the
+test suite) can turn failures into exit codes.
 
 Criterion 4 is known to fail at the benchmark configuration and is kept
 as an honest red light: with the polylog factors stripped from the
@@ -67,6 +68,12 @@ class CriterionResult:
     passed: bool
     detail: str
     elapsed: float
+
+
+def _timed(index: int, title: str, passed: bool, detail: str, t0: float) -> CriterionResult:
+    """The result, its detail ending with the seconds since ``t0``."""
+    elapsed = time.time() - t0
+    return CriterionResult(index, title, passed, f"{detail}; {elapsed:.2f}s", elapsed)
 
 
 def _both_instances():
@@ -137,9 +144,7 @@ def criterion_3(seed: int, workers: int) -> CriterionResult:
         details.append(
             f"{name}: gaps {gap1:.4f} ({gap1 / se1:.0f} SE), {gap2:.4f} ({gap2 / se2:.0f} SE)"
         )
-    return CriterionResult(
-        3, "policy ordering", ok, "; ".join(details), time.time() - t0
-    )
+    return _timed(3, "policy ordering", ok, "; ".join(details), t0)
 
 
 @functools.lru_cache(maxsize=2)
@@ -176,7 +181,7 @@ def criterion_4(seed: int, workers: int) -> CriterionResult:
         f"linear={freqs['linear']:.3f} exponential={freqs['exponential']:.3f} "
         "(bar 0.95; known red at this configuration, see module docstring)"
     )
-    return CriterionResult(4, "interval containment", ok, detail, time.time() - t0)
+    return _timed(4, "interval containment", ok, detail, t0)
 
 
 def criterion_5(seed: int, workers: int) -> CriterionResult:
@@ -188,7 +193,7 @@ def criterion_5(seed: int, workers: int) -> CriterionResult:
     _, entry_exp = _interval_stats(EXPONENTIAL, n, runs, seed)
     ok = entry_lin <= 0.10 and entry_exp >= 0.90
     detail = f"linear entry={entry_lin:.3f} (<=0.10), exponential entry={entry_exp:.3f} (>=0.90)"
-    return CriterionResult(5, "track transition", ok, detail, time.time() - t0)
+    return _timed(5, "track transition", ok, detail, t0)
 
 
 def criterion_6(seed: int, workers: int) -> CriterionResult:
@@ -222,7 +227,7 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
         f"var {counts.var(ddof=1):.1f} (band {var_band:.1f}); "
         f"tail {tail:.2e} <= {10.0 / n:.0e}"
     )
-    return CriterionResult(6, "simulator statistics", ok, detail, time.time() - t0)
+    return _timed(6, "simulator statistics", ok, detail, t0)
 
 
 def criterion_7(seed: int, workers: int) -> CriterionResult:
@@ -253,9 +258,7 @@ def criterion_7(seed: int, workers: int) -> CriterionResult:
             f"-{report.floor_slack:.1e} "
             f"{'ok' if report.passed else 'VIOLATED'}"
         )
-    return CriterionResult(
-        7, "worst-case bound checks", ok, "; ".join(details), time.time() - t0
-    )
+    return _timed(7, "worst-case bound checks", ok, "; ".join(details), t0)
 
 
 def criterion_8(seed: int, workers: int) -> CriterionResult:
@@ -282,7 +285,7 @@ def criterion_8(seed: int, workers: int) -> CriterionResult:
     ok = outputs[0] == outputs[1]
     detail = f"{len(outputs[0][0])} byte regret CSV, {len(outputs[0][1])} byte slope CSV"
     detail += "; identical" if ok else "; DIFFER"
-    return CriterionResult(8, "bitwise reproducibility", ok, detail, time.time() - t0)
+    return _timed(8, "bitwise reproducibility", ok, detail, t0)
 
 
 def criterion_9(seed: int, workers: int) -> CriterionResult:
@@ -306,7 +309,7 @@ def criterion_9(seed: int, workers: int) -> CriterionResult:
     ratio = stats[10**3][1] / stats[10**5][1]
     ok = hit_rate >= 0.90 and ratio >= 3.0
     detail = f"hit rate {hit_rate:.3f} (>=0.90); regret ratio 1e3/1e5 = {ratio:.1f} (>=3)"
-    return CriterionResult(9, "kinked demand variant", ok, detail, time.time() - t0)
+    return _timed(9, "kinked demand variant", ok, detail, t0)
 
 
 CRITERIA = (

@@ -160,7 +160,7 @@ def print_config(config: ExperimentConfig) -> str:
 
 
 def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
-    """Config from INI text; source names the file in syntax errors."""
+    """Config from INI text; every error message names ``source``."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
@@ -173,15 +173,15 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
         sections.insert(0, parser.default_section)
     for section in sections:
         if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]; know {list(_SECTIONS)}")
+            raise ConfigError(f"{source}: unknown section [{section}]; know {list(_SECTIONS)}")
         for key, raw in parser.items(section):
             if (section, key) not in _KEYS:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
+                raise ConfigError(f"{source}: unknown key {key!r} in [{section}]")
             field, parse = _KEYS[section, key]
             try:
                 fields[field] = parse(raw)
             except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+                raise ConfigError(f"{source}: [{section}] {key} = {raw!r}: {exc}") from exc
     return ExperimentConfig(**fields)
 
 

@@ -67,6 +67,11 @@ class DemandModel(ABC):
             )
         return max(0.0, self._rate(min(max(p, self.price_floor), self.price_ceil)))
 
+    def _unimodal_pieces(self) -> tuple:
+        """Price intervals covering the box on each of which revenue is
+        unimodal."""
+        return ((self.price_floor, self.price_ceil),)
+
     def revenue(self, p) -> float:
         """Instantaneous revenue rate p * lambda(p); 0 at the shut-off price."""
         if p is P_INF:
@@ -179,6 +184,11 @@ class PiecewiseLinearDemand(DemandModel):
     def _rate_at_kink(self):
         return self.a - self.b_left * self.kink
 
+    def _unimodal_pieces(self):
+        if self.b_right < self.b_left:  # convex corner: one concave piece each side
+            return ((self.price_floor, self.kink), (self.kink, self.price_ceil))
+        return super()._unimodal_pieces()
+
     def _rate(self, p):
         if p <= self.kink:
             return self.a - self.b_left * p
@@ -255,11 +265,15 @@ def _golden_max(f, lo: float, hi: float) -> float:
 def solve_pu(model: DemandModel) -> float:
     """Unconstrained revenue-maximizing price argmax p * lambda(p).
 
-    Revenue is unimodal for every family here (for piecewise demand when
-    b_right > b_left, the concave corner), so golden-section search
-    applies directly.
+    Golden-section search on each interval where revenue is unimodal: the
+    whole box for every family but piecewise demand with a convex corner
+    (b_right < b_left), whose two pieces are searched apart and the better
+    maximum kept.
     """
-    return _golden_max(model.revenue, model.price_floor, model.price_ceil)
+    return max(
+        (_golden_max(model.revenue, lo, hi) for lo, hi in model._unimodal_pieces()),
+        key=model.revenue,
+    )
 
 
 def solve_pc(model: DemandModel, inventory: float, horizon: float) -> float:

@@ -12,6 +12,7 @@ will flip green if a configuration satisfying both the containment bar
 and the runtime budget is found.
 """
 
+import re
 import sys
 
 import pytest
@@ -67,3 +68,8 @@ def test_criterion_8_bitwise_reproducibility(results):
 
 def test_criterion_9_kinked_demand_variant(results):
     _check(results, 9)
+
+
+def test_every_line_ends_with_its_elapsed_seconds(results):
+    for result in results:
+        assert re.search(r"\d\.?\d*s$", result.detail), result.detail

@@ -79,6 +79,18 @@ class TestConfigRoundTrip:
         assert "\n" not in message and str(path) in message
         assert re.search(rf"line:? {line}\b", message)
 
+    @pytest.mark.parametrize("text", [
+        "[polcy]\nname = dpa\n",
+        "[experiment]\nreplicatons = 5\n",
+        "[experiment]\nreplications = soon\n",
+    ], ids=["unknown section", "unknown key", "bad value"])
+    def test_content_error_names_file(self, text, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            parse_args(["run", "--config", str(path)])
+        assert str(exc.value).startswith(f"{path}: ")
+
 
 class TestHash:
     def test_ignores_execution_only_fields(self):

@@ -118,6 +118,14 @@ class TestSolvers:
         assert solve_pc(model, 81.0, 1.0) == pytest.approx(3.0, abs=1e-9)
         assert deterministic_value(model, 81.0, 1.0, 1) == pytest.approx(320.0, abs=1e-4)
 
+    @pytest.mark.parametrize("ceil, pu, revenue", [(10.0, 10.0, 81.0), (8.0, 5.0, 75.0)])
+    def test_convex_kink_takes_the_better_piece(self, ceil, pu, revenue):
+        # revenue p (30 - 3p) peaks at 5 (75) left of the kink at 7; right
+        # of it, p (11.1 - 0.3p) rises to the ceiling (81 at 10, 69.6 at 8)
+        model = PiecewiseLinearDemand(30.0, 3.0, 7.0, 0.3, price_ceil=ceil)
+        assert solve_pu(model) == pytest.approx(pu, abs=1e-6)
+        assert model.revenue(solve_pu(model)) == pytest.approx(revenue, abs=1e-6)
+
 class TestProblemInstance:
     def test_inventory_scaling_floors(self):
         inst = ProblemInstance(LIN, 20.5, 1.0, 3)

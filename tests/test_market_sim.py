@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynpricing.demand import LinearDemand, ProblemInstance
+from dynpricing import market_sim
+from dynpricing.demand import LinearDemand, PiecewiseLinearDemand, ProblemInstance
 from dynpricing.errors import PolicyProtocolError, PriceDomainError
 from dynpricing.market_sim import (
     P_INF,
@@ -18,7 +21,7 @@ from dynpricing.market_sim import (
     simulate_segment,
     write_trace_csv,
 )
-from dynpricing.policies import FixedPricePolicy
+from dynpricing.policies import FixedPricePolicy, PolicyConfig, make_policy
 
 LIN = LinearDemand(30.0, 3.0)
 
@@ -149,6 +152,87 @@ class TestTailCheck:
             poisson_tail_check(mu=-1.0, r_n=10.0, eta=1.0, replications=10, n=100)
         with pytest.raises(ValueError):
             poisson_tail_check(mu=5.0, r_n=10.0, eta=1.0, replications=10, n=100, rate_bound=1.0)
+
+
+def plain_rng(entropy, k):
+    return np.random.default_rng(np.random.SeedSequence((*entropy, k)))
+
+
+def assert_same_stream(entropy, k):
+    fast, plain = segment_rng(entropy, k), plain_rng(entropy, k)
+    assert fast.bit_generator.state == plain.bit_generator.state
+    assert fast.poisson(37.5) == plain.poisson(37.5)
+
+
+class TestSegmentStreams:
+    """The block-derived streams against SeedSequence and PCG64 themselves."""
+
+    TOP = 2**32 - 1
+
+    @pytest.mark.parametrize("key", [
+        (0,), (TOP,), (5, 0), (TOP, TOP), (7, 10**5, 3), (0, TOP, 0), (TOP, 0, TOP, 9),
+        (1, 2, 3, 4), (0, 0, 0, 0),
+    ])
+    def test_generate_state_port(self, key):
+        keys = np.zeros((4, 1), dtype=np.uint32)
+        keys[: len(key), 0] = key
+        expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
+        assert market_sim._generate_state(keys)[0].tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("entropy", [(), (0,), (TOP,), (3, TOP), (7, 10**5, 63), (TOP, 0, 64)])
+    @pytest.mark.parametrize("k", [0, 15, 16, 200, 4095])
+    def test_keys_of_one_to_four_words(self, entropy, k):
+        assert_same_stream(entropy, k)
+
+    @pytest.mark.parametrize("entropy, k", [
+        ((2**32, 5), 0),  # SeedSequence splits the word in two
+        ((1, 2**40, 3), 7),
+        ((1, 2, 3, 4), 0),  # a 5-word key
+        ((1, 2, 3), 4096),  # past the largest block's last segment
+    ])
+    def test_keys_outside_the_blocks_take_the_plain_path(self, entropy, k):
+        assert_same_stream(entropy, k)
+        assert segment_rng(entropy, k) is not segment_rng(entropy, k)
+
+    def test_blocks_reuse_one_generator(self):
+        assert segment_rng((1, 2, 3), 0) is segment_rng((4, 5), 4000)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        keys=st.lists(
+            st.tuples(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+                      st.integers(0, 4095)),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_property_any_order_matches_seed_sequence(self, keys):
+        for entropy, k in keys:
+            assert_same_stream(tuple(entropy), k)
+
+    @pytest.mark.parametrize("name", ["dpa", "dpa2", "single_phase", "clairvoyant", "fixed"])
+    def test_seasons_match_the_plain_path(self, name, monkeypatch):
+        # reps in reverse across rep 256, a block boundary at every block
+        # size, interleaved over n, so the memo is rebuilt and extended
+        # out of order
+        if name == "dpa2":
+            model, inventory = PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0), 81.0
+        else:
+            model, inventory = LIN, 20.0
+        config = PolicyConfig(name, price=5.0)
+        keys = [(n, rep) for rep in reversed(range(250, 262)) for n in (100, 10**4)]
+
+        def seasons():
+            traces = {}
+            for n, rep in keys:
+                inst = ProblemInstance(model, inventory, 1.0, n)
+                traces[n, rep] = run_policy(inst, make_policy(config, inst), seed=(3, n, rep))
+            return traces
+
+        fast = seasons()
+        monkeypatch.setattr(market_sim, "segment_rng", plain_rng)
+        assert fast == seasons()
+        if name == "dpa":  # long enough seasons to extend the block
+            assert max(len(t.segments) for t in fast.values()) > market_sim._FIRST_SEGMENTS
 
 
 class TestTraceCsv:
