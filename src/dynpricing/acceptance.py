@@ -206,13 +206,7 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
     mu = n * LINEAR.rate(price) * duration
     counts = np.empty(reps)
     for rep in range(reps):
-        state = MarketState(
-            remaining_inventory=instance.scaled_inventory,
-            clock=0.0,
-            revenue=0.0,
-            entropy=(seed, n, rep),
-            segment_index=0,
-        )
+        state = MarketState(instance.scaled_inventory, entropy=(seed, n, rep))
         sales, _ = simulate_segment(state, LINEAR, n, price, duration)
         counts[rep] = sales
     mean_band = 4.0 * math.sqrt(mu / reps)

@@ -13,6 +13,7 @@ it is feasible for every model and carries rate 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
@@ -84,6 +85,8 @@ class DemandModel(ABC):
             raise ValueError(f"bad price interval [{lo}, {hi}]")
         ps = np.linspace(lo, hi, 257)
         lams = [self._rate(p) for p in ps]
+        if not all(map(math.isfinite, lams)):
+            raise ValueError("demand rate is not finite inside the price interval")
         if max(np.diff(lams)) >= 0:
             raise ValueError("demand must be strictly decreasing in price")
         if lams[-1] < -_PRICE_TOL:
@@ -302,8 +305,11 @@ def solve_pc(model: DemandModel, inventory: float, horizon: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache
 def deterministic_price(model: DemandModel, inventory: float, horizon: float) -> float:
-    """Optimal fixed price of the deterministic relaxation: max(p_u, p_c)."""
+    """Optimal fixed price of the deterministic relaxation: max(p_u, p_c).
+
+    Memoised: every model is a frozen, hashable value."""
     return max(solve_pu(model), solve_pc(model, inventory, horizon))
 
 

@@ -18,23 +18,33 @@ Building those two objects costs about 25 us, most of a season's time,
 so the states are derived in blocks of 4096 keys instead: consecutive
 values of K's last word (the replication) times the segments seen so far,
 for one prefix ``K[:-1]``.  The block ports SeedSequence's entropy hash and
-``generate_state`` (numpy NEP 19) to uint32 array arithmetic, and each
-draw applies PCG64's two-step seeding (O'Neill, "PCG: A Family of Simple
-Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation", HMC-CS-2014-0905) to one reused generator.  A key of up to
-4 words, each below 2^32, zero-pads to SeedSequence's 4-word pool with the
-same result.  The blocks cover K a tuple of 1 to 3 Python ints in
-[0, 2^32) and k in [0, 4096); any other key (a word of 2^32 or more,
-which SeedSequence splits in two, more than 4 words, a K of another type)
-builds the two objects as before.  Both paths give the same draws; each
-state is a function of its key alone, so call order and worker count
-cannot change a draw.
+``generate_state`` (numpy NEP 19) to uint32 array arithmetic, then PCG64's
+two-step seeding (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+Statistically Good Algorithms for Random Number Generation",
+HMC-CS-2014-0905) to 128-bit arithmetic on uint64 halves, giving each
+key's final 32 bytes of (state, inc).  A draw copies its key's bytes into
+one reused PCG64, through numpy's ctypes interface
+(``bit_generator.ctypes.state_address``), and clears its buffered uint32.
+The first draw probes that layout: it reads back a known state to learn
+the order of each word's halves and where the buffered uint32 lives.  If
+the probe fails, every key takes the plain path below.  The reused
+generator is one per process and must not be shared across threads.
+
+A key of up to 4 words, each below 2^32, zero-pads to SeedSequence's
+4-word pool with the same result.  The blocks cover K a tuple of 1 to 3
+Python ints in [0, 2^32) and k in [0, 4096); any other key (a word of 2^32
+or more, which SeedSequence splits in two, more than 4 words, a K of
+another type) builds the two objects as before.  Both paths give the same
+draws; each state is a function of its key alone, so call order and
+worker count cannot change a draw.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +70,10 @@ _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK_128 = (1 << 128) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_1, _32, _63 = np.uint64(1), np.uint64(32), np.uint64(63)
+_LOW_32 = np.uint64(0xFFFFFFFF)
+_NO_BUFFERED_UINT32 = bytes(8)  # has_uint32 = 0, uinteger = 0
 _BLOCK_KEYS = 4096  # 128 kB of seeds: reps x segments, both powers of 2
 _FIRST_SEGMENTS = 16
 
@@ -125,6 +137,63 @@ def _block_seeds(prefix: tuple, first_rep: int, reps: int, segments: int) -> np.
     return _generate_state(keys)
 
 
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 words, by
+    32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW_32, a >> _32, b & _LOW_32, b >> _32
+    cross_a, cross_b = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _32) + (cross_a & _LOW_32) + (cross_b & _LOW_32)
+    return a1 * b1 + (cross_a >> _32) + (cross_b >> _32) + (mid >> _32)
+
+
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
+
+
+def _pcg64_words(seeds: np.ndarray, order: tuple) -> np.ndarray:
+    """PCG64's (state low, state high, inc low, inc high), taken in
+    ``order``, after seeding with each row of ``seeds``: inc = 2 seq + 1
+    and state = (seed + inc) * MULT + inc, mod 2^128."""
+    seed_hi, seed_lo, seq_hi, seq_lo = np.moveaxis(seeds, -1, 0)
+    inc_lo, inc_hi = seq_lo << _1 | _1, seq_hi << _1 | seq_lo >> _63
+    lo, hi = _add128(seed_lo, seed_hi, inc_lo, inc_hi)
+    lo, hi = lo * _PCG_MULT_LO, _mulhi(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    halves = _add128(lo, hi, inc_lo, inc_hi) + (inc_lo, inc_hi)
+    return np.stack([halves[i] for i in order], axis=-1)
+
+
+def _probe(generator):
+    """Writable byte views of a fresh ``Generator(PCG64(0))``'s (state, inc)
+    words and of its (has_uint32, uinteger) pair, and the order of the
+    words' halves; None unless a read-back finds both.
+
+    ``state_address`` is numpy's ``pcg64_state``: a pointer to the (state,
+    inc) pair, then has_uint32 and uinteger.  The halves are low, high under
+    ``__uint128_t`` and high, low under numpy's emulated 128-bit type.
+    """
+    bitgen = generator.bit_generator
+    base = bitgen.ctypes.state_address
+    pair_at = ctypes.c_void_p.from_address(base).value or 0
+    if not 16 <= pair_at - base <= 64:  # the pair sits in the same object
+        return None
+    start = bitgen.state
+    seen = list((ctypes.c_uint64 * 4).from_address(pair_at))
+    order = next((o for o in ((0, 1, 2, 3), (1, 0, 3, 2))  # key (0, 0) is SeedSequence(0)
+                  if seen == _pcg64_words(_block_seeds((), 0, 1, 1), o).ravel().tolist()), None)
+    generator.integers(2**32, dtype=np.uint32)  # buffers the other half
+    words = list((ctypes.c_uint32 * ((pair_at - base) // 4)).from_address(base))
+    flags_at = next((i for i in range(ctypes.sizeof(ctypes.c_void_p) // 4, len(words) - 1)
+                     if words[i : i + 2] == [1, bitgen.state["uinteger"]]), None)
+    if order is None or flags_at is None:
+        return None
+    state = memoryview((ctypes.c_char * 32).from_address(pair_at)).cast("B")
+    flags = memoryview((ctypes.c_char * 8).from_address(base + 4 * flags_at)).cast("B")
+    state[:] = np.array(seen, dtype=np.uint64).tobytes()
+    flags[:] = _NO_BUFFERED_UINT32  # a raw write of the start state must read back
+    return (state, flags, order) if bitgen.state == start else None
+
+
 def _in_block_domain(entropy: tuple, segment_index: int) -> bool:
     return (
         type(entropy) is tuple  # immutable: the memo knows a key by identity
@@ -136,27 +205,33 @@ def _in_block_domain(entropy: tuple, segment_index: int) -> bool:
 
 
 class _BlockStreams:
-    """Segment streams from the seeds of one memoised block of keys.
+    """Segment streams from the PCG64 words of one memoised block of keys.
 
     Holds the block of the last key seen and one reused PCG64.  The block
     covers 4096 keys of one prefix: 4096 / S aligned reps times segments
     [0, S).  A new prefix starts at S = 16; a segment past S doubles S
-    for the rest of the prefix, halving the reps.  The generator is built
-    on the first draw, so importing this module does not import
-    ``numpy.random``.
+    for the rest of the prefix, halving the reps.  A draw copies its key's
+    32 bytes into the generator and clears its buffered uint32.  The
+    generator is built, and probed, on the first draw, so importing this
+    module does not import ``numpy.random``; if the probe fails, the block
+    domain is empty.
     """
 
     def __init__(self):
-        self._entropy = None  # the key whose row ``_row`` is
-        self._row = 0
+        self._entropy = None  # the key whose row starts at byte ``_row_at``
+        self._row_at = 0
         self._prefix = None
         self._first_rep = 0
         self._segments = 0
-        self._seeds = None
-        self._bitgen = self._generator = None
-        self._inner = {"state": 0, "inc": 0}
-        self._state = {"bit_generator": "PCG64", "state": self._inner,
-                       "has_uint32": 0, "uinteger": 0}
+        self._words = None  # the block's bytes
+        self._generator = None
+        self._state = self._flags = self._order = None  # from the probe
+
+    def _start(self) -> None:
+        from numpy.random import PCG64, Generator
+
+        self._generator = Generator(PCG64(0))
+        self._state, self._flags, self._order = _probe(self._generator) or (None,) * 3
 
     def _locate(self, entropy: tuple, segment_index: int) -> None:
         prefix, rep = entropy[:-1], entropy[-1]
@@ -167,34 +242,30 @@ class _BlockStreams:
         first_rep = rep - rep % reps
         block = (prefix, first_rep, segments)
         if block != (self._prefix, self._first_rep, self._segments):
-            self._seeds = _block_seeds(prefix, first_rep, reps, segments)
+            seeds = _block_seeds(prefix, first_rep, reps, segments)
+            self._words = memoryview(_pcg64_words(seeds, self._order)).cast("B")
             self._prefix, self._first_rep, self._segments = block
-        self._entropy, self._row = entropy, rep - first_rep
+        self._entropy, self._row_at = entropy, 32 * segments * (rep - first_rep)
 
     def generator(self, entropy: tuple, segment_index: int):
         """The reused generator at the start of the segment's stream, or
         None when the key is outside the block domain."""
         if not (entropy is self._entropy and type(segment_index) is int
                 and 0 <= segment_index < self._segments):
-            if not _in_block_domain(entropy, segment_index):
+            if self._generator is None:
+                self._start()
+            if self._state is None or not _in_block_domain(entropy, segment_index):
                 return None
             self._locate(entropy, segment_index)
-        seed_hi, seed_lo, seq_hi, seq_lo = self._seeds[self._row, segment_index].tolist()
-        # PCG64's set_seed: state = 0, inc = 2 seq + 1, step, state += seed, step
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK_128
-        self._inner["state"] = ((((seed_hi << 64) | seed_lo) + inc) * _PCG_MULT + inc) & _MASK_128
-        self._inner["inc"] = inc
-        if self._generator is None:
-            from numpy.random import PCG64, Generator
-
-            self._bitgen = PCG64(0)
-            self._generator = Generator(self._bitgen)
-        self._bitgen.state = self._state
+        at = self._row_at + 32 * segment_index
+        self._state[:] = self._words[at : at + 32]
+        self._flags[:] = _NO_BUFFERED_UINT32
         return self._generator
 
 
-# one per process: each draw is a function of its key alone, so sharing the
-# memo between callers cannot change what any of them draws
+# one per process, not to be shared across threads: each draw is a function
+# of its key alone, so sharing the memo between callers cannot change what
+# any of them draws
 _STREAMS = _BlockStreams()
 
 
@@ -212,7 +283,7 @@ def segment_rng(entropy: tuple, segment_index: int) -> np.random.Generator:
     return rng
 
 
-@dataclass
+@dataclass(slots=True)
 class MarketState:
     """Mutable season state owned by the simulator."""
 
@@ -227,8 +298,7 @@ class MarketState:
         return self.remaining_inventory == 0
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     price: object  # float or P_INF
     t_start: float
     duration: float
@@ -264,13 +334,12 @@ def simulate_segment(
         raise PriceDomainError(f"negative duration {duration!r}")
     duration = max(0.0, duration)
     mean = market_size * model.rate(price) * duration
-    if mean > 0 and state.remaining_inventory > 0:
-        rng = segment_rng(state.entropy, state.segment_index)
-        count = int(rng.poisson(mean))
+    stock = state.remaining_inventory
+    if mean > 0 and stock > 0:
+        sales = min(int(segment_rng(state.entropy, state.segment_index).poisson(mean)), stock)
+        state.remaining_inventory = stock - sales
     else:
-        count = 0
-    sales = min(count, state.remaining_inventory)
-    state.remaining_inventory -= sales
+        sales = 0
     if price is not P_INF:
         state.revenue += float(price) * sales
     state.clock += duration
@@ -292,6 +361,11 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     """
     model = instance.demand
     T = instance.horizon
+    n = instance.market_size
+    open_until = T - _T_EPS
+    lowest = model.price_floor - _PRICE_SLACK
+    highest = model.price_ceil + _PRICE_SLACK
+    next_segment = policy.next_segment
     state = MarketState(
         remaining_inventory=instance.scaled_inventory,
         entropy=_as_entropy(seed),
@@ -300,8 +374,8 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     stockout_time = None
     last_sales = None
     finished_by_policy = False
-    while state.clock < T - _T_EPS and not state.stocked_out:
-        request = policy.next_segment(last_sales)
+    while state.clock < open_until and state.remaining_inventory:
+        request = next_segment(last_sales)
         if request is None:
             finished_by_policy = True
             break
@@ -311,33 +385,27 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
             raise PolicyProtocolError(f"bad segment request {request!r}")
         if price is not P_INF:
             price = float(price)
-            if not (
-                model.price_floor - _PRICE_SLACK
-                <= price
-                <= model.price_ceil + _PRICE_SLACK
-            ):
+            if not lowest <= price <= highest:
                 raise PolicyProtocolError(
                     f"policy emitted infeasible price {price!r}"
                 )
         duration = float(duration)
         if duration < -_T_EPS:
             raise PolicyProtocolError(f"policy emitted negative duration {duration!r}")
-        duration = min(duration, T - state.clock)  # clamp at season end
         t_start = state.clock
-        last_sales, state = simulate_segment(state, model, instance.market_size, price, duration)
-        segments.append(Segment(price=price, t_start=t_start, duration=duration, sales=last_sales))
-        if state.stocked_out and stockout_time is None:
+        duration = min(duration, T - t_start)  # clamp at season end
+        last_sales, state = simulate_segment(state, model, n, price, duration)
+        segments.append(Segment(price, t_start, duration, last_sales))
+        if stockout_time is None and not state.remaining_inventory:
             stockout_time = state.clock
     if not finished_by_policy and last_sales is not None:
         # the season ended on the simulator's side; deliver the final count
         # so a learning policy can fold it into its estimates, and discard
         # any further request
-        policy.next_segment(last_sales)
-    if state.clock < T - _T_EPS:
+        next_segment(last_sales)
+    if state.clock < open_until:
         # stockout or early policy exit: shut off demand for the tail
-        segments.append(
-            Segment(price=P_INF, t_start=state.clock, duration=T - state.clock, sales=0)
-        )
+        segments.append(Segment(P_INF, state.clock, T - state.clock, 0))
         state.clock = T
     return SimulationTrace(
         segments=tuple(segments),

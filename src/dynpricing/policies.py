@@ -50,23 +50,21 @@ class SeasonPolicy:
     """Generator-backed policy base; subclasses implement _season()."""
 
     def __init__(self):
-        self._gen = None
-        self._done = False
+        self._send = self._start
 
     def _season(self):
         raise NotImplementedError
 
+    def _start(self, last_sales):
+        self._send = self._season().send
+        return self._send(None)
+
     def next_segment(self, last_sales):
         """Next (price, duration) request, or None when the season plan ends."""
-        if self._done:
-            return None
         try:
-            if self._gen is None:
-                self._gen = self._season()
-                return self._gen.send(None)
-            return self._gen.send(last_sales)
+            return self._send(last_sales)
         except StopIteration:
-            self._done = True
+            self._send = lambda last_sales: None
             return None
 
 
@@ -172,16 +170,6 @@ class _IntervalLearner(SeasonPolicy):
         self._t = 0.0
         self._degenerate_width = max(1e-12, 1e-10 * (self.p_hi - self.p_lo))
 
-    def _grid_pass(self, lo, step, kappa, delta):
-        """Test kappa left-endpoint grid prices for delta each; returns d_hat."""
-        n = self.instance.market_size
-        d_hat = np.empty(kappa)
-        for j in range(kappa):
-            sales = yield (lo + j * step, delta)
-            d_hat[j] = sales / (n * delta)
-            self._t += delta
-        return d_hat
-
     def _run_track(
         self,
         track: str,
@@ -206,6 +194,7 @@ class _IntervalLearner(SeasonPolicy):
         tested.
         """
         T = self.instance.horizon
+        n = self.instance.market_size
         step = None
         for i, (tau, kappa) in enumerate(zip(schedule.tau, schedule.kappa), start=1):
             tau *= T
@@ -217,7 +206,13 @@ class _IntervalLearner(SeasonPolicy):
                 self.truncated_learning = True
             step = (hi - lo) / kappa
             self.iterations.append((track, i, lo, hi, None, None))
-            d_hat = yield from self._grid_pass(lo, step, kappa, tau / kappa)
+            # grid pass: kappa left-endpoint prices for delta each
+            delta = tau / kappa
+            d_hat = np.empty(kappa)
+            for j in range(kappa):
+                sales = yield (lo + j * step, delta)
+                d_hat[j] = sales / (n * delta)
+                self._t += delta
             prices = lo + step * np.arange(kappa)
             p_u = float(prices[int(np.argmax(prices * d_hat))])
             p_c = float(prices[int(np.argmin(np.abs(d_hat - self.target)))])

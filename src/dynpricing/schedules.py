@@ -17,6 +17,9 @@ reuses the inventory-track shapes with (log n)^3 throughout.
 union-bound slack, and at desk-scale n they dwarf the season itself.
 Grid counts are floored to integers and clamped to at least 2.
 
+Both builders are memoised: a schedule is a pure function of (n, delta,
+log_mode) and immutable, so every season at one setting shares one.
+
 Iteration counts come from the delta-only bounds
 N1 = floor(log_{3/5}((1-2delta)/(1-delta))) + 1 (revenue track) and
 N2 likewise with ratio 2/3.
@@ -24,6 +27,7 @@ N2 likewise with ratio 2/3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +85,7 @@ def _track(n: int, delta: float, log_mode: str, track: str) -> TrackSchedule:
     return TrackSchedule(tuple(taus), tuple(kappas))
 
 
+@functools.lru_cache
 def build_schedule(
     n: int, delta: float = 0.49, log_mode: str = "practical"
 ) -> tuple[TrackSchedule, TrackSchedule]:
@@ -89,6 +94,7 @@ def build_schedule(
     return _track(n, delta, log_mode, "u"), _track(n, delta, log_mode, "c")
 
 
+@functools.lru_cache
 def build_kink_schedule(
     n: int, delta: float = 0.49, log_mode: str = "practical"
 ) -> TrackSchedule:

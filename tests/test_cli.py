@@ -166,6 +166,10 @@ BAD_INPUTS = {
                                       "floor = 0.8\nceil = 1.2\n"),
     "negative rate in box": (["solve", "--demand", "linear 30 3 0.1 11"], None),
     "rate underflows flat": (["solve", "--demand", "exponential 80 1000"], None),
+    "nan intercept": (["solve", "--demand", "linear nan 3"], None),
+    "nan slope past the kink": (["run", "--demand", "piecewise 30 3 7 nan", "--n", "1000",
+                                 "--reps", "3"], None),
+    "infinite slope": (["solve", "--demand", "linear 30 inf"], None),
 }
 
 
@@ -188,6 +192,7 @@ class TestBoundary:
         with pytest.raises(ConfigError):
             validate(parse_args(["solve", "--demand", "mystery 1 2"]))
 
+    @pytest.mark.filterwarnings("error")  # a warning would print before the error line
     @pytest.mark.parametrize("argv, text", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exits_2_before_simulating(self, argv, text, tmp_path, monkeypatch, capsys):
         def simulate(*args, **kwargs):

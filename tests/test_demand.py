@@ -47,6 +47,18 @@ class TestRateInterface:
         with pytest.raises(ValueError, match="strictly decreasing"):
             ExponentialDemand(80.0, 1000.0)  # rate underflows to a flat 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [
+        lambda: LinearDemand(math.nan, 3.0),
+        lambda: LinearDemand(30.0, math.inf),
+        lambda: LinearDemand(math.inf, 3.0),
+        lambda: PiecewiseLinearDemand(30.0, 3.0, 7.0, math.nan),
+        lambda: LogitDemand(math.nan, 1.0),
+    ], ids=["nan a", "inf b", "inf a", "nan b_right", "logit nan a"])
+    def test_non_finite_rates_rejected(self, build):
+        with pytest.raises(ValueError, match="not finite"):
+            build()
+
 
 class TestFamilies:
     def test_linear_values(self):
@@ -105,6 +117,15 @@ class TestSolvers:
         assert deterministic_price(EXP, 20.0, 1.0) == pytest.approx(2 * math.log(4.0), abs=1e-6)
         assert deterministic_value(EXP, 20.0, 1.0, 1) == pytest.approx(40 * math.log(4.0), abs=1e-6)
         assert deterministic_value(LIN, 20.0, 1.0, 100) == pytest.approx(7500.0, abs=1e-4)
+
+    @pytest.mark.parametrize("model, inventory", [
+        (LIN, 20.0), (EXP, 20.0), (LIN, 1.0), (WorstCaseLinear(0.5), 0.5),
+        (PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0), 81.0),
+    ])
+    def test_memoised_benchmark_price_equals_a_fresh_solve(self, model, inventory):
+        memoised = deterministic_price(model, inventory, 1.0)
+        assert deterministic_price(model, inventory, 1.0) is memoised
+        assert deterministic_price.__wrapped__(model, inventory, 1.0) == memoised
 
     def test_zero_inventory_is_worth_nothing(self):
         assert deterministic_value(LIN, 0.0, 1.0, 100) == 0.0

@@ -1,6 +1,9 @@
 """Poisson market simulator: protocol, determinism, stockout, CSV."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +157,14 @@ class TestTailCheck:
             poisson_tail_check(mu=5.0, r_n=10.0, eta=1.0, replications=10, n=100, rate_bound=1.0)
 
 
+M64 = 2**64 - 1
+PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+
+
+def halves(state, inc):
+    return [state & M64, state >> 64, inc & M64, inc >> 64]
+
+
 def plain_rng(entropy, k):
     return np.random.default_rng(np.random.SeedSequence((*entropy, k)))
 
@@ -177,7 +188,12 @@ class TestSegmentStreams:
         keys = np.zeros((4, 1), dtype=np.uint32)
         keys[: len(key), 0] = key
         expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
-        assert market_sim._generate_state(keys)[0].tolist() == expected.tolist()
+        seeds = market_sim._generate_state(keys)
+        assert seeds[0].tolist() == expected.tolist()
+        # and the block's PCG64 words are the generator seeded by the key
+        state = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
+        words = market_sim._pcg64_words(seeds, (0, 1, 2, 3))
+        assert words[0].tolist() == halves(state["state"], state["inc"])
 
     @pytest.mark.parametrize("entropy", [(), (0,), (TOP,), (3, TOP), (7, 10**5, 63), (TOP, 0, 64)])
     @pytest.mark.parametrize("k", [0, 15, 16, 200, 4095])
@@ -195,6 +211,7 @@ class TestSegmentStreams:
         assert segment_rng(entropy, k) is not segment_rng(entropy, k)
 
     def test_blocks_reuse_one_generator(self):
+        # after a failed probe every draw would get a fresh generator
         assert segment_rng((1, 2, 3), 0) is segment_rng((4, 5), 4000)
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -209,30 +226,74 @@ class TestSegmentStreams:
         for entropy, k in keys:
             assert_same_stream(tuple(entropy), k)
 
+    @pytest.mark.parametrize("seed", [
+        (M64, M64, M64, M64),  # every add and the multiply carry
+        (0, M64, 0, M64),
+        (M64, 0, M64, 0),
+        (0x8000000000000000, 0xFFFFFFFF00000000, 0x00000000FFFFFFFF, 0x8000000000000001),
+    ])
+    def test_block_words_carry_across_the_halves(self, seed):
+        seed_hi, seed_lo, seq_hi, seq_lo = seed
+        inc = ((seq_hi << 64 | seq_lo) * 2 + 1) % 2**128
+        state = ((seed_hi << 64 | seed_lo) + inc) * PCG_MULT + inc
+        words = market_sim._pcg64_words(np.array([seed], dtype=np.uint64), (0, 1, 2, 3))
+        assert words[0].tolist() == halves(state % 2**128, inc)
+
+    def test_buffered_uint32_is_cleared_between_draws(self):
+        rng = segment_rng((9, 8, 7), 5)
+        rng.integers(0, 10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng = segment_rng((9, 8, 7), 6)
+        assert rng.bit_generator.state["has_uint32"] == 0
+        assert_same_stream((9, 8, 7), 6)
+
+    def test_failed_probe_falls_back_to_the_plain_path(self, monkeypatch):
+        monkeypatch.setattr(market_sim, "_probe", lambda generator: None)
+        monkeypatch.setattr(market_sim, "_STREAMS", market_sim._BlockStreams())
+        assert_same_stream((1, 2, 3), 0)
+        assert segment_rng((1, 2, 3), 0) is not segment_rng((1, 2, 3), 0)
+        assert_seasons_match_the_plain_path("dpa", monkeypatch)
+
     @pytest.mark.parametrize("name", ["dpa", "dpa2", "single_phase", "clairvoyant", "fixed"])
     def test_seasons_match_the_plain_path(self, name, monkeypatch):
-        # reps in reverse across rep 256, a block boundary at every block
-        # size, interleaved over n, so the memo is rebuilt and extended
-        # out of order
-        if name == "dpa2":
-            model, inventory = PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0), 81.0
-        else:
-            model, inventory = LIN, 20.0
-        config = PolicyConfig(name, price=5.0)
-        keys = [(n, rep) for rep in reversed(range(250, 262)) for n in (100, 10**4)]
-
-        def seasons():
-            traces = {}
-            for n, rep in keys:
-                inst = ProblemInstance(model, inventory, 1.0, n)
-                traces[n, rep] = run_policy(inst, make_policy(config, inst), seed=(3, n, rep))
-            return traces
-
-        fast = seasons()
-        monkeypatch.setattr(market_sim, "segment_rng", plain_rng)
-        assert fast == seasons()
+        fast = assert_seasons_match_the_plain_path(name, monkeypatch)
         if name == "dpa":  # long enough seasons to extend the block
             assert max(len(t.segments) for t in fast.values()) > market_sim._FIRST_SEGMENTS
+
+    def test_import_does_not_load_numpy_random(self):
+        # the generator is built on the first draw, so set-up stays cheap
+        src = os.path.dirname(os.path.dirname(market_sim.__file__))
+        code = "import sys, dynpricing; print('numpy.random' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "False"
+
+
+def assert_seasons_match_the_plain_path(name, monkeypatch):
+    """Traces of ``name`` with the current ``segment_rng`` equal those with
+    the plain path; returns the traces.
+
+    Reps in reverse across rep 256, a block boundary at every block size,
+    interleaved over n, so the memo is rebuilt and extended out of order.
+    """
+    if name == "dpa2":
+        model, inventory = PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0), 81.0
+    else:
+        model, inventory = LIN, 20.0
+    config = PolicyConfig(name, price=5.0)
+    keys = [(n, rep) for rep in reversed(range(250, 262)) for n in (100, 10**4)]
+
+    def seasons():
+        traces = {}
+        for n, rep in keys:
+            inst = ProblemInstance(model, inventory, 1.0, n)
+            traces[n, rep] = run_policy(inst, make_policy(config, inst), seed=(3, n, rep))
+        return traces
+
+    fast = seasons()
+    monkeypatch.setattr(market_sim, "segment_rng", plain_rng)
+    assert fast == seasons()
+    return fast
 
 
 class TestTraceCsv:

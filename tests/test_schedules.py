@@ -20,6 +20,15 @@ def test_iteration_counts_at_default_delta():
     assert max_iterations(0.30, 3.0 / 5.0) == 2
 
 
+@pytest.mark.parametrize("n", [2, 100, 10**5])
+@pytest.mark.parametrize("delta, log_mode", [(0.49, "practical"), (0.3, "theoretical")])
+def test_memoised_schedules_equal_fresh_ones(n, delta, log_mode):
+    for build in (build_schedule, build_kink_schedule):
+        memoised = build(n, delta, log_mode)
+        assert build(n, delta, log_mode) is memoised
+        assert build.__wrapped__(n, delta, log_mode) == memoised
+
+
 def test_schedule_at_reference_scale():
     u, c = build_schedule(10**5, 0.49, "practical")
     assert len(u.tau) == 7 and len(c.tau) == 8
