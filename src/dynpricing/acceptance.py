@@ -39,7 +39,13 @@ from .demand import (
     deterministic_value,
     solve_pu,
 )
-from .market_sim import MarketState, poisson_tail_check, run_policy, simulate_segment
+from .market_sim import (
+    MarketState,
+    poisson_tail_check,
+    run_policy,
+    season_rng,
+    simulate_segment,
+)
 from .policies import DpaPolicy, KinkPolicy, PolicyConfig, make_policy
 from .regret_harness import estimate_regret, sweep
 from .lower_bound import (
@@ -206,7 +212,7 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
     mu = n * LINEAR.rate(price) * duration
     counts = np.empty(reps)
     for rep in range(reps):
-        state = MarketState(instance.scaled_inventory, entropy=(seed, n, rep))
+        state = MarketState(instance.scaled_inventory, season_rng((seed, n, rep)))
         sales, _ = simulate_segment(state, LINEAR, n, price, duration)
         counts[rep] = sales
     mean_band = 4.0 * math.sqrt(mu / reps)

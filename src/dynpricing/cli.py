@@ -424,6 +424,9 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError("workers must be positive")
     if config.seed < 0:
         raise ConfigError("seed must be nonnegative")
+    # both become words of a season key, and market_sim keys words below 2^64
+    if config.seed >= 2**64 or max(config.n_values) >= 2**64:
+        raise ConfigError("seed and n must be below 2^64")
     min_reps = 2 if command in ("sweep", "lowerbound") else 1
     if config.replications < min_reps:
         raise ConfigError(f"{command} needs replications >= {min_reps}")

@@ -170,6 +170,8 @@ BAD_INPUTS = {
     "nan slope past the kink": (["run", "--demand", "piecewise 30 3 7 nan", "--n", "1000",
                                  "--reps", "3"], None),
     "infinite slope": (["solve", "--demand", "linear 30 inf"], None),
+    "seed 2^64": (["run", "--n", "100", "--reps", "5", "--seed", "18446744073709551616"], None),
+    "n 2^64": (["run", "--n", "18446744073709551616"], None),
 }
 
 
@@ -246,6 +248,15 @@ class TestCommands:
         slopes1 = tmp_path / "a.slopes.csv"
         slopes2 = tmp_path / "b.slopes.csv"
         assert slopes1.read_bytes() == slopes2.read_bytes()
+
+    def test_sweep_csv_bytes_do_not_depend_on_workers(self, tmp_path, capsys):
+        # 130 reps make three chunks of the pool's 64, so both workers run seasons
+        args = ["sweep", "--n", "100 200 300", "--reps", "130", "--seed", "0"]
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
+        assert main(args + ["--workers", "2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert (tmp_path / "w1.slopes.csv").read_bytes() == (tmp_path / "w2.slopes.csv").read_bytes()
 
     def test_sweep_check_flag_verifies_revenue_bound(self, capsys):
         code = main(["sweep", "--policy", "clairvoyant", "--n", "100 1000 10000",

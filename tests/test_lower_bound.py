@@ -28,8 +28,6 @@ def flat_trace(price, duration=1.0):
         segments=(Segment(price=price, t_start=0.0, duration=duration, sales=0),),
         terminal_revenue=0.0,
         stockout_time=None,
-        initial_inventory=10,
-        horizon=duration,
     )
 
 
@@ -85,7 +83,7 @@ class TestKlPath:
                 Segment(price=1.4, t_start=0.0, duration=0.3, sales=0),
                 Segment(price=1.4, t_start=0.3, duration=0.7, sales=0),
             ),
-            terminal_revenue=0.0, stockout_time=None, initial_inventory=10, horizon=1.0,
+            terminal_revenue=0.0, stockout_time=None,
         )
         assert kl_path(two, 50, Z0, 0.6) == pytest.approx(
             kl_path(flat_trace(1.4), 50, Z0, 0.6), rel=1e-12
@@ -97,7 +95,7 @@ class TestKlPath:
                 Segment(price=1.4, t_start=0.0, duration=1.0, sales=0),
                 Segment(price=P_INF, t_start=1.0, duration=0.5, sales=0),
             ),
-            terminal_revenue=0.0, stockout_time=None, initial_inventory=10, horizon=1.5,
+            terminal_revenue=0.0, stockout_time=None,
         )
         assert kl_path(with_tail, 50, Z0, 0.6) == kl_path(flat_trace(1.4), 50, Z0, 0.6)
 

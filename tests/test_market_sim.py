@@ -20,7 +20,7 @@ from dynpricing.market_sim import (
     SimulationTrace,
     poisson_tail_check,
     run_policy,
-    segment_rng,
+    season_rng,
     simulate_segment,
     write_trace_csv,
 )
@@ -50,25 +50,23 @@ def make_instance(inventory=20.0, n=1000):
 class TestSimulateSegment:
     def test_zero_mean_consumes_no_randomness(self):
         inst = make_instance()
-        state = MarketState(remaining_inventory=inst.scaled_inventory, entropy=(0,))
+        state = MarketState(inst.scaled_inventory, season_rng((0,)))
+        before = stream_state(state.rng)
         sales, state = simulate_segment(state, LIN, inst.market_size, P_INF, 0.5)
-        assert sales == 0
-        assert state.revenue == 0.0
-        assert state.segment_index == 1
-        # the draw for a given segment index depends only on (entropy, index)
-        a = segment_rng((0,), 1).poisson(100)
-        b = segment_rng((0,), 1).poisson(100)
-        assert a == b
+        assert (sales, state.revenue) == (0, 0.0)
+        sales, state = simulate_segment(state, LIN, inst.market_size, 5.0, 0.0)
+        assert (sales, state.revenue) == (0, 0.0)
+        assert stream_state(state.rng) == before
 
     def test_sales_capped_by_inventory(self):
         inst = make_instance(inventory=0.005, n=1000)  # 5 units
-        state = MarketState(remaining_inventory=inst.scaled_inventory, entropy=(1,))
+        state = MarketState(inst.scaled_inventory, season_rng((1,)))
         sales, state = simulate_segment(state, LIN, inst.market_size, 5.0, 1.0)
         assert sales == 5
-        assert state.stocked_out
+        assert state.remaining_inventory == 0
 
     def test_negative_duration_rejected(self):
-        state = MarketState(remaining_inventory=10, entropy=(0,))
+        state = MarketState(10, season_rng((0,)))
         with pytest.raises(PriceDomainError):
             simulate_segment(state, LIN, 10, 5.0, -0.1)
 
@@ -154,146 +152,111 @@ class TestTailCheck:
         with pytest.raises(ValueError):
             poisson_tail_check(mu=-1.0, r_n=10.0, eta=1.0, replications=10, n=100)
         with pytest.raises(ValueError):
-            poisson_tail_check(mu=5.0, r_n=10.0, eta=1.0, replications=10, n=100, rate_bound=1.0)
+            poisson_tail_check(mu=5.0, r_n=10.0, eta=1.0, replications=10, n=1)
 
 
-M64 = 2**64 - 1
-PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+TOP = 2**64 - 1
 
 
-def halves(state, inc):
-    return [state & M64, state >> 64, inc & M64, inc >> 64]
+def stream_state(rng):
+    """Philox's counter, key, buffer and buffered uint32, comparable."""
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
 
 
-def plain_rng(entropy, k):
-    return np.random.default_rng(np.random.SeedSequence((*entropy, k)))
+def fresh_rng(entropy):
+    """A new generator on the stream of season key ``entropy``, built as the
+    module docstring states the contract."""
+    k0, k1, k2, k3 = (*entropy, 0, 0, 0, 0)[:4]
+    philox = np.random.Philox(key=k0 + 2**64 * k1, counter=2**128 * k2 + 2**192 * k3)
+    return np.random.Generator(philox)
 
 
-def assert_same_stream(entropy, k):
-    fast, plain = segment_rng(entropy, k), plain_rng(entropy, k)
-    assert fast.bit_generator.state == plain.bit_generator.state
-    assert fast.poisson(37.5) == plain.poisson(37.5)
+def assert_same_stream(entropy):
+    reused, fresh = season_rng(entropy), fresh_rng(entropy)
+    assert stream_state(reused) == stream_state(fresh)
+    means = [37.5, 0.2, 4e4, 11.0, 1e-3, 250.0]
+    assert [reused.poisson(m) for m in means] == [fresh.poisson(m) for m in means]
 
 
 class TestSegmentStreams:
-    """The block-derived streams against SeedSequence and PCG64 themselves."""
-
-    TOP = 2**32 - 1
-
-    @pytest.mark.parametrize("key", [
-        (0,), (TOP,), (5, 0), (TOP, TOP), (7, 10**5, 3), (0, TOP, 0), (TOP, 0, TOP, 9),
-        (1, 2, 3, 4), (0, 0, 0, 0),
-    ])
-    def test_generate_state_port(self, key):
-        keys = np.zeros((4, 1), dtype=np.uint32)
-        keys[: len(key), 0] = key
-        expected = np.random.SeedSequence(key).generate_state(4, np.uint64)
-        seeds = market_sim._generate_state(keys)
-        assert seeds[0].tolist() == expected.tolist()
-        # and the block's PCG64 words are the generator seeded by the key
-        state = np.random.PCG64(np.random.SeedSequence(key)).state["state"]
-        words = market_sim._pcg64_words(seeds, (0, 1, 2, 3))
-        assert words[0].tolist() == halves(state["state"], state["inc"])
+    """The stream every segment of a season draws from: one Philox stream
+    per season key, against ``Philox(key=, counter=)`` itself."""
 
     @pytest.mark.parametrize("entropy", [(), (0,), (TOP,), (3, TOP), (7, 10**5, 63), (TOP, 0, 64)])
     @pytest.mark.parametrize("k", [0, 15, 16, 200, 4095])
     def test_keys_of_one_to_four_words(self, entropy, k):
-        assert_same_stream(entropy, k)
+        assert_same_stream((*entropy, k))
 
-    @pytest.mark.parametrize("entropy, k", [
-        ((2**32, 5), 0),  # SeedSequence splits the word in two
-        ((1, 2**40, 3), 7),
-        ((1, 2, 3, 4), 0),  # a 5-word key
-        ((1, 2, 3), 4096),  # past the largest block's last segment
-    ])
-    def test_keys_outside_the_blocks_take_the_plain_path(self, entropy, k):
-        assert_same_stream(entropy, k)
-        assert segment_rng(entropy, k) is not segment_rng(entropy, k)
+    def test_keys_outside_the_domain_raise(self):
+        for key in [(2**64,), (1, 2**64 + 3), (1, 2, 3, 4, 5), (-1,), (4, -2), ()]:
+            with pytest.raises(ValueError):
+                season_rng(key)
+        inst = make_instance()
+        with pytest.raises(ValueError):
+            run_policy(inst, FixedPricePolicy(inst, 5.0), seed=(0, 1000, 2**64))
 
-    def test_blocks_reuse_one_generator(self):
-        # after a failed probe every draw would get a fresh generator
-        assert segment_rng((1, 2, 3), 0) is segment_rng((4, 5), 4000)
+    def test_seasons_reuse_one_generator(self):
+        assert season_rng((1, 2, 3)) is season_rng((4, 5))
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(
-        keys=st.lists(
-            st.tuples(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
-                      st.integers(0, 4095)),
-            min_size=1, max_size=5,
-        )
-    )
-    def test_property_any_order_matches_seed_sequence(self, keys):
-        for entropy, k in keys:
-            assert_same_stream(tuple(entropy), k)
-
-    @pytest.mark.parametrize("seed", [
-        (M64, M64, M64, M64),  # every add and the multiply carry
-        (0, M64, 0, M64),
-        (M64, 0, M64, 0),
-        (0x8000000000000000, 0xFFFFFFFF00000000, 0x00000000FFFFFFFF, 0x8000000000000001),
-    ])
-    def test_block_words_carry_across_the_halves(self, seed):
-        seed_hi, seed_lo, seq_hi, seq_lo = seed
-        inc = ((seq_hi << 64 | seq_lo) * 2 + 1) % 2**128
-        state = ((seed_hi << 64 | seed_lo) + inc) * PCG_MULT + inc
-        words = market_sim._pcg64_words(np.array([seed], dtype=np.uint64), (0, 1, 2, 3))
-        assert words[0].tolist() == halves(state % 2**128, inc)
+    @given(keys=st.lists(st.lists(st.integers(0, TOP), min_size=1, max_size=4),
+                         min_size=1, max_size=5))
+    def test_property_any_order_matches_fresh_streams(self, keys):
+        for entropy in keys:
+            assert_same_stream(tuple(entropy))
 
     def test_buffered_uint32_is_cleared_between_draws(self):
-        rng = segment_rng((9, 8, 7), 5)
+        rng = season_rng((9, 8, 7))
         rng.integers(0, 10, dtype=np.uint32)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        rng = segment_rng((9, 8, 7), 6)
-        assert rng.bit_generator.state["has_uint32"] == 0
-        assert_same_stream((9, 8, 7), 6)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        assert_same_stream((9, 8, 7, 6))
+        assert_same_stream((9, 8, 7))
 
-    def test_failed_probe_falls_back_to_the_plain_path(self, monkeypatch):
-        monkeypatch.setattr(market_sim, "_probe", lambda generator: None)
-        monkeypatch.setattr(market_sim, "_STREAMS", market_sim._BlockStreams())
-        assert_same_stream((1, 2, 3), 0)
-        assert segment_rng((1, 2, 3), 0) is not segment_rng((1, 2, 3), 0)
-        assert_seasons_match_the_plain_path("dpa", monkeypatch)
+    def test_keys_differing_in_one_word_differ_in_the_first_draw(self):
+        base = (5, 6, 7, 8)
+        first = season_rng(base).bit_generator.random_raw()
+        for word in range(4):
+            for flipped in (base[word] + 1, base[word] ^ 2**63):
+                key = base[:word] + (flipped,) + base[word + 1:]
+                assert season_rng(key).bit_generator.random_raw() != first
+
+    def test_neighbouring_reps_share_no_output(self):
+        rep = season_rng((3, 10**4, 41)).bit_generator.random_raw(10**5)
+        next_rep = season_rng((3, 10**4, 42)).bit_generator.random_raw(10**5)
+        assert np.intersect1d(rep, next_rep).size == 0
 
     @pytest.mark.parametrize("name", ["dpa", "dpa2", "single_phase", "clairvoyant", "fixed"])
     def test_seasons_match_the_plain_path(self, name, monkeypatch):
-        fast = assert_seasons_match_the_plain_path(name, monkeypatch)
-        if name == "dpa":  # long enough seasons to extend the block
-            assert max(len(t.segments) for t in fast.values()) > market_sim._FIRST_SEGMENTS
+        # the plain path builds a fresh generator per season; keys go out of
+        # order, interleaved over n, so no season may lean on the last one
+        if name == "dpa2":
+            model, inventory = PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0), 81.0
+        else:
+            model, inventory = LIN, 20.0
+        config = PolicyConfig(name, price=5.0)
+        keys = [(n, rep) for rep in reversed(range(250, 262)) for n in (100, 10**4)]
+
+        def seasons():
+            traces = {}
+            for n, rep in keys:
+                inst = ProblemInstance(model, inventory, 1.0, n)
+                traces[n, rep] = run_policy(inst, make_policy(config, inst), seed=(3, n, rep))
+            return traces
+
+        reused = seasons()
+        monkeypatch.setattr(market_sim, "season_rng", fresh_rng)
+        assert reused == seasons()
 
     def test_import_does_not_load_numpy_random(self):
-        # the generator is built on the first draw, so set-up stays cheap
+        # the generator is built on the first season, so set-up stays cheap
         src = os.path.dirname(os.path.dirname(market_sim.__file__))
         code = "import sys, dynpricing; print('numpy.random' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert out.strip() == "False"
-
-
-def assert_seasons_match_the_plain_path(name, monkeypatch):
-    """Traces of ``name`` with the current ``segment_rng`` equal those with
-    the plain path; returns the traces.
-
-    Reps in reverse across rep 256, a block boundary at every block size,
-    interleaved over n, so the memo is rebuilt and extended out of order.
-    """
-    if name == "dpa2":
-        model, inventory = PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0), 81.0
-    else:
-        model, inventory = LIN, 20.0
-    config = PolicyConfig(name, price=5.0)
-    keys = [(n, rep) for rep in reversed(range(250, 262)) for n in (100, 10**4)]
-
-    def seasons():
-        traces = {}
-        for n, rep in keys:
-            inst = ProblemInstance(model, inventory, 1.0, n)
-            traces[n, rep] = run_policy(inst, make_policy(config, inst), seed=(3, n, rep))
-        return traces
-
-    fast = seasons()
-    monkeypatch.setattr(market_sim, "segment_rng", plain_rng)
-    assert fast == seasons()
-    return fast
 
 
 class TestTraceCsv:
@@ -323,8 +286,6 @@ class TestTraceCsv:
             ),
             terminal_revenue=10.0,
             stockout_time=None,
-            initial_inventory=100,
-            horizon=1.0,
         )
         path = tmp_path / "t.csv"
         write_trace_csv(path, [trace])

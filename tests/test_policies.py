@@ -36,12 +36,12 @@ def exp_instance(n):
     return ProblemInstance(EXP, 20.0, 1.0, n)
 
 
-def segments_cover_season(trace):
+def segments_cover_season(trace, inst):
     t = 0.0
     for seg in trace.segments:
         assert seg.t_start == pytest.approx(t, abs=1e-9)
         t += seg.duration
-    assert t == pytest.approx(trace.horizon, abs=1e-9)
+    assert t == pytest.approx(inst.horizon, abs=1e-9)
 
 
 class TestBaselines:
@@ -51,7 +51,7 @@ class TestBaselines:
         assert pol.applied_price == pytest.approx(5.0, abs=1e-6)
         trace = run_policy(inst, pol, seed=(0, 1000, 0))
         assert len(trace.segments) == 1
-        segments_cover_season(trace)
+        segments_cover_season(trace, inst)
 
     def test_fixed_price(self):
         inst = lin_instance(1000)
@@ -72,7 +72,7 @@ class TestBaselines:
             assert seg.duration == pytest.approx(0.2 / 5)
         assert trace.segments[5].duration == pytest.approx(0.8)
         assert trace.segments[5].price == pol.applied_price
-        segments_cover_season(trace)
+        segments_cover_season(trace, inst)
 
     def test_single_phase_default_tuning(self):
         pol = SinglePhaseGridPolicy(lin_instance(10**4))
@@ -90,7 +90,7 @@ class TestDpaStructure:
     def test_season_is_gapless_and_never_overruns(self):
         inst = lin_instance(10**4)
         trace = run_policy(inst, DpaPolicy(inst), seed=(0, 10**4, 0))
-        segments_cover_season(trace)
+        segments_cover_season(trace, inst)
 
     def test_interval_shrink_geometry(self):
         # widths follow w' <= ln(n) * w / kappa with the asymmetric 1/3-2/3
@@ -160,7 +160,7 @@ class TestDpaStructure:
         assert len(pol.iterations) == 1
         assert None not in pol.iterations[0]
         assert pol.applied_price is not None
-        segments_cover_season(trace)
+        segments_cover_season(trace, inst)
 
     def test_invalid_step3_interval(self):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ class TestKinkPolicy:
         trace = run_policy(inst, pol, seed=(0, 10**4, 0))
         _, _, _, _, p_u, p_c = pol.iterations[-1]
         assert pol.applied_price == max(p_u, p_c)
-        segments_cover_season(trace)
+        segments_cover_season(trace, inst)
 
     def test_shrinks_are_symmetric(self):
         inst = ProblemInstance(KINKED, 81.0, 1.0, 10**4)

@@ -35,8 +35,10 @@ class TestEstimate:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        serial = estimate_regret(BASE.with_market_size(200), PolicyConfig("dpa"), 8, seed=0, workers=1)
-        pooled = estimate_regret(BASE.with_market_size(200), PolicyConfig("dpa"), 8, seed=0, workers=2)
+        # 130 reps make three chunks of the pool's 64, so both workers run seasons
+        cell = BASE.with_market_size(100), PolicyConfig("dpa"), 130
+        serial = estimate_regret(*cell, seed=0, workers=1)
+        pooled = estimate_regret(*cell, seed=0, workers=2)
         assert serial == pooled
 
     def test_zero_value_benchmark_rejected(self):
