@@ -189,6 +189,18 @@ class TestSegmentStreams:
     def test_keys_of_one_to_four_words(self, entropy, k):
         assert_same_stream((*entropy, k))
 
+    @pytest.mark.parametrize("entropy, k", [
+        ((2**32, 5), 0),  # a word past 32 bits
+        ((1, 2**40, 3), 7),
+        ((TOP, TOP, TOP), 0),  # four words, three at their top
+        ((1, 2, 3), 4096),
+    ])
+    def test_keys_outside_the_blocks_take_the_plain_path(self, entropy, k):
+        # wide words and large last words take the one path every key takes:
+        # the reused generator, set to the key's own Philox stream
+        assert_same_stream((*entropy, k))
+        assert season_rng((*entropy, k)) is season_rng((*entropy, k))
+
     def test_keys_outside_the_domain_raise(self):
         for key in [(2**64,), (1, 2**64 + 3), (1, 2, 3, 4, 5), (-1,), (4, -2), ()]:
             with pytest.raises(ValueError):
