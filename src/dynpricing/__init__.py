@@ -7,10 +7,12 @@ The package is organized around a small set of pieces:
     with a kink, worst-case linear), deterministic benchmark prices and
     values
 ``market_sim``
-    Poisson market simulator and the policy/segment protocol
+    Poisson market simulator; ``run_policy`` drives a policy's ``season()``
+    generator, which yields (price, duration) requests and is sent each
+    segment's sales count
 ``schedules`` / ``policies``
     learning schedules and the two-track shrinking-interval policies,
-    plus clairvoyant and single-phase baselines
+    plus fixed-price (clairvoyant at p_D) and single-phase baselines
 ``regret_harness``
     Monte Carlo regret estimation and log-log scaling sweeps
 ``lower_bound``
@@ -38,12 +40,10 @@ from .demand import (
 from .market_sim import SimulationTrace, run_policy, write_trace_csv
 from .policies import (
     POLICY_NAMES,
-    ClairvoyantPolicy,
     DpaPolicy,
     FixedPricePolicy,
     KinkPolicy,
     PolicyConfig,
-    SeasonPolicy,
     SinglePhaseGridPolicy,
     make_policy,
 )
@@ -80,12 +80,10 @@ __all__ = [
     "run_policy",
     "write_trace_csv",
     "POLICY_NAMES",
-    "ClairvoyantPolicy",
     "DpaPolicy",
     "FixedPricePolicy",
     "KinkPolicy",
     "PolicyConfig",
-    "SeasonPolicy",
     "SinglePhaseGridPolicy",
     "make_policy",
     "build_kink_schedule",

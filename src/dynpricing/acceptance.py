@@ -39,14 +39,8 @@ from .demand import (
     deterministic_value,
     solve_pu,
 )
-from .market_sim import (
-    MarketState,
-    poisson_tail_check,
-    run_policy,
-    season_rng,
-    simulate_segment,
-)
-from .policies import DpaPolicy, KinkPolicy, PolicyConfig, make_policy
+from .market_sim import poisson_tail_check, run_policy
+from .policies import DpaPolicy, FixedPricePolicy, KinkPolicy, PolicyConfig, make_policy
 from .regret_harness import estimate_regret, sweep
 from .lower_bound import (
     Z0,
@@ -207,14 +201,15 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
     t0 = time.time()
     reps = 10**4
     n = 10**4
-    instance = ProblemInstance(LINEAR, BENCH_X, BENCH_T, n)
     price, duration = 5.0, 0.01
+    # a season as long as the one segment under test: its first and only
+    # draw is the segment's count, from the stream of key (seed, n, rep)
+    instance = ProblemInstance(LINEAR, BENCH_X, duration, n)
+    policy = FixedPricePolicy(instance, price)
     mu = n * LINEAR.rate(price) * duration
     counts = np.empty(reps)
     for rep in range(reps):
-        state = MarketState(instance.scaled_inventory, season_rng((seed, n, rep)))
-        sales, _ = simulate_segment(state, LINEAR, n, price, duration)
-        counts[rep] = sales
+        counts[rep] = run_policy(instance, policy, (seed, n, rep)).segments[0].sales
     mean_band = 4.0 * math.sqrt(mu / reps)
     var_band = 4.0 * math.sqrt((mu + 2.0 * mu**2) / reps)
     mean_ok = abs(counts.mean() - mu) <= mean_band

@@ -1,11 +1,13 @@
-"""Poisson market simulator and the policy/segment protocol.
+"""Poisson market simulator and the season protocol.
 
-A simulation runs one selling season.  The policy is asked for one
-(price, duration) segment at a time and sees the realized sales count of
-its previous segment before choosing the next; the simulator owns the
-clock, the inventory, and the random stream.  Once inventory hits zero,
-or the policy stops early, the remainder of the season is priced at the
-shut-off price ``P_INF`` with no further policy involvement.
+A simulation runs one selling season.  A policy is any object whose
+``season()`` returns a generator of (price, duration) requests;
+``run_policy`` sends each segment's realized sales count back into it, so
+the policy sees every count before choosing its next segment.  The
+simulator keeps the clock, the inventory, the revenue and the random
+stream.  Once inventory hits zero, or the generator stops early, the
+remainder of the season is priced at the shut-off price ``P_INF`` with no
+further policy involvement.
 
 Randomness: each season carries a key K of 1 to 4 words, each in
 [0, 2^64); the sweeps use (seed, n, rep).  Zero-padded to (K0, K1, K2,
@@ -35,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import DemandModel, P_INF, ProblemInstance
-from .errors import PolicyProtocolError, PriceDomainError
+from .demand import P_INF, ProblemInstance
+from .errors import PolicyProtocolError
 
 _T_EPS = 1e-12
 _PRICE_SLACK = 1e-9
@@ -79,16 +81,6 @@ def season_rng(entropy) -> np.random.Generator:
     return _rng
 
 
-@dataclass(slots=True)
-class MarketState:
-    """Mutable season state owned by the simulator."""
-
-    remaining_inventory: int
-    rng: np.random.Generator  # the season's stream, from ``season_rng``
-    clock: float = 0.0
-    revenue: float = 0.0
-
-
 class Segment(NamedTuple):
     price: object  # float or P_INF
     t_start: float
@@ -105,46 +97,17 @@ class SimulationTrace:
     stockout_time: float | None
 
 
-def simulate_segment(
-    state: MarketState,
-    model: DemandModel,
-    market_size: int,
-    price,
-    duration: float,
-) -> tuple[int, MarketState]:
-    """Sell at ``price`` for ``duration``; returns (sales, state).
-
-    Sales are the Poisson draw at mean n * lambda(p) * duration, capped by
-    remaining inventory.  Zero-mean segments (shut-off price, zero duration,
-    zero inventory) consume no randomness.
-    """
-    if duration < -_T_EPS:
-        raise PriceDomainError(f"negative duration {duration!r}")
-    duration = max(0.0, duration)
-    mean = market_size * model.rate(price) * duration
-    stock = state.remaining_inventory
-    if mean > 0 and stock > 0:
-        sales = min(int(state.rng.poisson(mean)), stock)
-        state.remaining_inventory = stock - sales
-    else:
-        sales = 0
-    if price is not P_INF:
-        state.revenue += float(price) * sales
-    state.clock += duration
-    return sales, state
-
-
 def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     """Run one season of ``policy`` on ``instance``.
 
-    The policy object must expose ``next_segment(last_sales)`` returning a
-    (price, duration) pair or None when done; ``last_sales`` is None on the
-    first call.  Every realized count is delivered exactly once: if the
-    season ends (or stock runs out) right on a segment boundary, the policy
-    is called one final time with that count and the answer is ignored.
-    Prices must lie in the model's interval or be ``P_INF``; the final
-    segment is clamped to the season end.  Identical (instance, policy
-    behavior, seed) triples reproduce the trace exactly.
+    ``policy.season()`` must return a generator that yields (price,
+    duration) requests.  Each segment's realized sales count is sent back
+    into it right after the segment, the last one too, so every count is
+    delivered exactly once; a request yielded after the season has ended
+    (clock at the horizon, or stock out) is discarded.  Prices must lie in
+    the model's interval or be ``P_INF``; the final segment is clamped to
+    the season end.  Identical (instance, policy behavior, seed) triples
+    reproduce the trace exactly.
     """
     model = instance.demand
     T = instance.horizon
@@ -152,17 +115,16 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     open_until = T - _T_EPS
     lowest = model.price_floor - _PRICE_SLACK
     highest = model.price_ceil + _PRICE_SLACK
-    next_segment = policy.next_segment
-    state = MarketState(instance.scaled_inventory, season_rng(seed))
+    rng = season_rng(seed)
+    stock = instance.scaled_inventory
+    clock = 0.0
+    revenue = 0.0
     segments = []
     stockout_time = None
-    last_sales = None
-    finished_by_policy = False
-    while state.clock < open_until and state.remaining_inventory:
-        request = next_segment(last_sales)
-        if request is None:
-            finished_by_policy = True
-            break
+    season = policy.season()
+    # a season with nothing to sell never asks the policy
+    request = next(season, None) if stock and clock < open_until else None
+    while request is not None:
         try:
             price, duration = request
         except (TypeError, ValueError):
@@ -176,24 +138,34 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
         duration = float(duration)
         if duration < -_T_EPS:
             raise PolicyProtocolError(f"policy emitted negative duration {duration!r}")
-        t_start = state.clock
-        duration = min(duration, T - t_start)  # clamp at season end
-        last_sales, state = simulate_segment(state, model, n, price, duration)
-        segments.append(Segment(price, t_start, duration, last_sales))
-        if stockout_time is None and not state.remaining_inventory:
-            stockout_time = state.clock
-    if not finished_by_policy and last_sales is not None:
-        # the season ended on the simulator's side; deliver the final count
-        # so a learning policy can fold it into its estimates, and discard
-        # any further request
-        next_segment(last_sales)
-    if state.clock < open_until:
+        # a rounding-sized negative duration advances the clock by 0, and the
+        # trace records what the clock advanced by; clamp at season end
+        duration = min(max(0.0, duration), T - clock)
+        # zero-mean segments (shut-off price, zero duration) draw nothing
+        mean = n * model.rate(price) * duration
+        if mean > 0:
+            sales = min(int(rng.poisson(mean)), stock)
+            stock -= sales
+        else:
+            sales = 0
+        if price is not P_INF:
+            revenue += price * sales
+        segments.append(Segment(price, clock, duration, sales))
+        clock += duration
+        if not stock:
+            stockout_time = clock
+        try:
+            request = season.send(sales)  # sent even when the season just ended
+        except StopIteration:
+            break
+        if not stock or clock >= open_until:
+            break
+    if clock < open_until:
         # stockout or early policy exit: shut off demand for the tail
-        segments.append(Segment(P_INF, state.clock, T - state.clock, 0))
-        state.clock = T
+        segments.append(Segment(P_INF, clock, T - clock, 0))
     return SimulationTrace(
         segments=tuple(segments),
-        terminal_revenue=state.revenue,
+        terminal_revenue=revenue,
         stockout_time=stockout_time,
     )
 

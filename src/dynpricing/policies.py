@@ -1,8 +1,11 @@
-"""Pricing policies speaking the simulator's segment protocol.
+"""Pricing policies speaking the simulator's season protocol.
 
-Every policy yields (price, duration) segments and receives the realized
-sales count of the segment it just posted.  The learning policies follow
-the shrinking-interval scheme: test a price grid on the current interval,
+Every policy's ``season()`` is a generator: it yields (price, duration)
+segments and receives, through ``send``, the realized sales count of the
+segment it just posted (see ``market_sim.run_policy``); a policy object
+runs one season.  The clairvoyant baseline is ``FixedPricePolicy`` at the
+deterministic price p_D.  The learning policies follow the
+shrinking-interval scheme: test a price grid on the current interval,
 estimate the demand rate at each grid point, re-center a narrower interval
 on the estimated optimum, and finally commit to a single price for the
 rest of the season.
@@ -46,47 +49,29 @@ _T_EPS = 1e-12
 POLICY_NAMES = ("dpa", "dpa2", "clairvoyant", "single_phase", "fixed")
 
 
-class SeasonPolicy:
-    """Generator-backed policy base; subclasses implement _season()."""
+def _grid_pass(prices, delta, n, target, t):
+    """Post each of ``prices`` for ``delta``, starting at clock ``t``; a
+    generator of segments.
 
-    def __init__(self):
-        self._send = self._start
-
-    def _season(self):
-        raise NotImplementedError
-
-    def _start(self, last_sales):
-        self._send = self._season().send
-        return self._send(None)
-
-    def next_segment(self, last_sales):
-        """Next (price, duration) request, or None when the season plan ends."""
-        try:
-            return self._send(last_sales)
-        except StopIteration:
-            self._send = lambda last_sales: None
-            return None
+    The rate at each price is estimated as sales / (n delta).  Returns
+    (p_u_hat, p_c_hat, t): the grid price of the highest estimated revenue,
+    the one whose rate estimate is nearest ``target``, and the clock after
+    the pass, advanced by ``delta`` per price.
+    """
+    d_hat = np.empty(len(prices))
+    for j, price in enumerate(prices.tolist()):
+        sales = yield (price, delta)
+        d_hat[j] = sales / (n * delta)
+        t += delta
+    p_u = float(prices[int(np.argmax(prices * d_hat))])
+    p_c = float(prices[int(np.argmin(np.abs(d_hat - target)))])
+    return p_u, p_c, t
 
 
-class ClairvoyantPolicy(SeasonPolicy):
-    """Posts the deterministic-optimal fixed price for the whole season."""
-
-    def __init__(self, instance: ProblemInstance):
-        super().__init__()
-        self.instance = instance
-        self.applied_price = deterministic_price(
-            instance.demand, instance.inventory, instance.horizon
-        )
-
-    def _season(self):
-        yield (self.applied_price, self.instance.horizon)
-
-
-class FixedPricePolicy(SeasonPolicy):
+class FixedPricePolicy:
     """Posts one given price, inside the price box, for the whole season."""
 
     def __init__(self, instance: ProblemInstance, price: float):
-        super().__init__()
         model = instance.demand
         if not (model.price_floor <= price <= model.price_ceil):
             raise ValueError(
@@ -95,11 +80,11 @@ class FixedPricePolicy(SeasonPolicy):
         self.instance = instance
         self.applied_price = float(price)
 
-    def _season(self):
+    def season(self):
         yield (self.applied_price, self.instance.horizon)
 
 
-class SinglePhaseGridPolicy(SeasonPolicy):
+class SinglePhaseGridPolicy:
     """Learn-then-earn baseline: one exploration pass, one committed price.
 
     Tests an even grid spanning the price interval for a learn_fraction
@@ -115,7 +100,6 @@ class SinglePhaseGridPolicy(SeasonPolicy):
         learn_fraction: float | None = None,
         grid_size: int | None = None,
     ):
-        super().__init__()
         n = instance.market_size
         if learn_fraction is None:
             learn_fraction = n ** (-0.25)
@@ -130,32 +114,23 @@ class SinglePhaseGridPolicy(SeasonPolicy):
         self.grid_size = int(grid_size)
         self.applied_price = None
 
-    def _season(self):
+    def season(self):
         inst = self.instance
         model = inst.demand
         n, T = inst.market_size, inst.horizon
-        target = inst.inventory / T
         grid = np.linspace(model.price_floor, model.price_ceil, self.grid_size)
         delta = self.learn_fraction * T / self.grid_size
-        t = 0.0
-        d_hat = np.empty(self.grid_size)
-        for j, pj in enumerate(grid):
-            sales = yield (float(pj), delta)
-            d_hat[j] = sales / (n * delta)
-            t += delta
-        p_u = float(grid[int(np.argmax(grid * d_hat))])
-        p_c = float(grid[int(np.argmin(np.abs(d_hat - target)))])
+        p_u, p_c, t = yield from _grid_pass(grid, delta, n, inst.inventory / T, 0.0)
         self.applied_price = max(p_u, p_c)
         if T - t > _T_EPS:
             yield (self.applied_price, T - t)
 
 
-class _IntervalLearner(SeasonPolicy):
+class _IntervalLearner:
     """Shared bookkeeping and the track runner of the shrinking-interval
     policies."""
 
     def __init__(self, instance: ProblemInstance):
-        super().__init__()
         self.instance = instance
         model = instance.demand
         self.p_lo = model.price_floor
@@ -206,16 +181,10 @@ class _IntervalLearner(SeasonPolicy):
                 self.truncated_learning = True
             step = (hi - lo) / kappa
             self.iterations.append((track, i, lo, hi, None, None))
-            # grid pass: kappa left-endpoint prices for delta each
-            delta = tau / kappa
-            d_hat = np.empty(kappa)
-            for j in range(kappa):
-                sales = yield (lo + j * step, delta)
-                d_hat[j] = sales / (n * delta)
-                self._t += delta
-            prices = lo + step * np.arange(kappa)
-            p_u = float(prices[int(np.argmax(prices * d_hat))])
-            p_c = float(prices[int(np.argmin(np.abs(d_hat - self.target)))])
+            # grid pass: kappa left-endpoint prices for tau / kappa each
+            p_u, p_c, self._t = yield from _grid_pass(
+                lo + step * np.arange(kappa), tau / kappa, n, self.target, self._t
+            )
             self.iterations[-1] = (track, i, lo, hi, p_u, p_c)
             estimate = center(p_u, p_c)
             if truncated:
@@ -271,7 +240,7 @@ class DpaPolicy(_IntervalLearner):
         )
         self.entered_step3 = False
 
-    def _season(self):
+    def season(self):
         revenue, constrained = self.schedule
         price, step, lo, hi, self.entered_step3 = yield from self._run_track(
             "u", revenue, self.p_lo, self.p_hi,
@@ -310,7 +279,7 @@ class KinkPolicy(_IntervalLearner):
         super().__init__(instance)
         self.schedule = build_kink_schedule(instance.market_size, delta, log_mode)
 
-    def _season(self):
+    def season(self):
         price, _, _, _, _ = yield from self._run_track(
             "kink", self.schedule, self.p_lo, self.p_hi,
             self.ln_n / 2.0, self.ln_n / 2.0, max,
@@ -337,7 +306,7 @@ class PolicyConfig:
             raise ConfigError("fixed policy needs a price")
 
 
-def make_policy(config: PolicyConfig, instance: ProblemInstance) -> SeasonPolicy:
+def make_policy(config: PolicyConfig, instance: ProblemInstance):
     """Fresh policy instance for one replication."""
     if config.name == "dpa":
         return DpaPolicy(
@@ -349,7 +318,9 @@ def make_policy(config: PolicyConfig, instance: ProblemInstance) -> SeasonPolicy
     if config.name == "dpa2":
         return KinkPolicy(instance, delta=config.delta, log_mode=config.log_mode)
     if config.name == "clairvoyant":
-        return ClairvoyantPolicy(instance)
+        return FixedPricePolicy(
+            instance, deterministic_price(instance.demand, instance.inventory, instance.horizon)
+        )
     if config.name == "single_phase":
         return SinglePhaseGridPolicy(instance, config.learn_fraction, config.grid_size)
     return FixedPricePolicy(instance, config.price)  # PolicyConfig checked the name

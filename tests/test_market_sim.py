@@ -12,16 +12,14 @@ from hypothesis import strategies as st
 
 from dynpricing import market_sim
 from dynpricing.demand import LinearDemand, PiecewiseLinearDemand, ProblemInstance
-from dynpricing.errors import PolicyProtocolError, PriceDomainError
+from dynpricing.errors import PolicyProtocolError
 from dynpricing.market_sim import (
     P_INF,
-    MarketState,
     Segment,
     SimulationTrace,
     poisson_tail_check,
     run_policy,
     season_rng,
-    simulate_segment,
     write_trace_csv,
 )
 from dynpricing.policies import FixedPricePolicy, PolicyConfig, make_policy
@@ -30,45 +28,65 @@ LIN = LinearDemand(30.0, 3.0)
 
 
 class ScriptedPolicy:
-    """Plays back a fixed list of (price, duration) segments."""
+    """Plays back a fixed list of (price, duration) segments and records
+    every sales count sent back."""
 
     def __init__(self, script):
         self.script = list(script)
         self.seen_sales = []
 
-    def next_segment(self, last_sales):
-        self.seen_sales.append(last_sales)
-        if not self.script:
-            return None
-        return self.script.pop(0)
+    def season(self):
+        for request in self.script:
+            self.seen_sales.append((yield request))
 
 
 def make_instance(inventory=20.0, n=1000):
     return ProblemInstance(LIN, inventory, 1.0, n)
 
 
-class TestSimulateSegment:
+class TestSegmentDraws:
+    """Single segments as ``run_policy`` draws them."""
+
     def test_zero_mean_consumes_no_randomness(self):
+        # the shut-off price and a zero duration draw nothing, so the next
+        # segment's sales are the fresh stream's first Poisson draw
         inst = make_instance()
-        state = MarketState(inst.scaled_inventory, season_rng((0,)))
-        before = stream_state(state.rng)
-        sales, state = simulate_segment(state, LIN, inst.market_size, P_INF, 0.5)
-        assert (sales, state.revenue) == (0, 0.0)
-        sales, state = simulate_segment(state, LIN, inst.market_size, 5.0, 0.0)
-        assert (sales, state.revenue) == (0, 0.0)
-        assert stream_state(state.rng) == before
+        policy = ScriptedPolicy([(P_INF, 0.5), (5.0, 0.0), (5.0, 0.5)])
+        trace = run_policy(inst, policy, seed=(0,))
+        first = int(fresh_rng((0,)).poisson(1000 * 15.0 * 0.5))
+        assert [seg.sales for seg in trace.segments] == [0, 0, first]
+        assert trace.terminal_revenue == 5.0 * first
+        assert policy.seen_sales == [0, 0, first]
 
     def test_sales_capped_by_inventory(self):
         inst = make_instance(inventory=0.005, n=1000)  # 5 units
-        state = MarketState(inst.scaled_inventory, season_rng((1,)))
-        sales, state = simulate_segment(state, LIN, inst.market_size, 5.0, 1.0)
-        assert sales == 5
-        assert state.remaining_inventory == 0
+        trace = run_policy(inst, FixedPricePolicy(inst, 5.0), seed=(1,))
+        assert [seg.sales for seg in trace.segments] == [5]
+        assert trace.stockout_time == 1.0
 
     def test_negative_duration_rejected(self):
-        state = MarketState(10, season_rng((0,)))
-        with pytest.raises(PriceDomainError):
-            simulate_segment(state, LIN, 10, 5.0, -0.1)
+        inst = make_instance()
+        with pytest.raises(PolicyProtocolError):
+            run_policy(inst, ScriptedPolicy([(5.0, -0.1)]), seed=(0,))
+
+    def test_rounding_sized_negative_duration_is_recorded_as_zero(self):
+        # the clock does not move for it, and the trace says so
+        inst = make_instance()
+        trace = run_policy(inst, ScriptedPolicy([(5.0, -1e-13), (5.0, 1.0)]), seed=(0,))
+        assert trace.segments[0] == Segment(5.0, 0.0, 0.0, 0)
+        assert trace.segments[1].t_start == 0.0 and trace.segments[1].duration == 1.0
+
+    def test_stockout_mid_season_sends_the_last_count(self):
+        inst = make_instance(inventory=2.0)  # 2000 units against a mean of 7500
+        policy = ScriptedPolicy([(5.0, 0.5), (6.0, 0.5)])
+        trace = run_policy(inst, policy, seed=(0, 1000, 0))
+        assert policy.seen_sales == [2000]
+        assert trace.segments[0].sales == 2000
+
+    def test_empty_season_is_one_shutoff_segment(self):
+        inst = make_instance()
+        trace = run_policy(inst, ScriptedPolicy([]), seed=(0,))
+        assert trace == SimulationTrace((Segment(P_INF, 0.0, 1.0, 0),), 0.0, None)
 
 
 class TestRunPolicy:
@@ -128,9 +146,8 @@ class TestRunPolicy:
         inst = make_instance()
         policy = ScriptedPolicy([(5.0, 0.5), (5.0, 0.5)])
         trace = run_policy(inst, policy, seed=(0, 1000, 0))
-        # first call carries None, later calls the realized counts
-        assert policy.seen_sales[0] is None
-        assert policy.seen_sales[1] == trace.segments[0].sales
+        # every count is sent back once, the last one too
+        assert policy.seen_sales == [seg.sales for seg in trace.segments]
 
     def test_poisson_moments(self):
         inst = make_instance(n=200)

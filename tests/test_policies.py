@@ -10,11 +10,11 @@ from dynpricing.demand import (
     LinearDemand,
     PiecewiseLinearDemand,
     ProblemInstance,
+    deterministic_price,
 )
 from dynpricing.errors import ConfigError
 from dynpricing.market_sim import P_INF, run_policy
 from dynpricing.policies import (
-    ClairvoyantPolicy,
     DpaPolicy,
     FixedPricePolicy,
     KinkPolicy,
@@ -47,7 +47,7 @@ def segments_cover_season(trace, inst):
 class TestBaselines:
     def test_clairvoyant_posts_the_benchmark_price(self):
         inst = lin_instance(1000)
-        pol = ClairvoyantPolicy(inst)
+        pol = make_policy(PolicyConfig("clairvoyant"), inst)
         assert pol.applied_price == pytest.approx(5.0, abs=1e-6)
         trace = run_policy(inst, pol, seed=(0, 1000, 0))
         assert len(trace.segments) == 1
@@ -209,7 +209,8 @@ class TestConfig:
         inst = lin_instance(100)
         assert isinstance(make_policy(PolicyConfig("dpa"), inst), DpaPolicy)
         assert isinstance(make_policy(PolicyConfig("dpa2"), inst), KinkPolicy)
-        assert isinstance(make_policy(PolicyConfig("clairvoyant"), inst), ClairvoyantPolicy)
+        clairvoyant = make_policy(PolicyConfig("clairvoyant"), inst)
+        assert clairvoyant.applied_price == deterministic_price(LIN, 20.0, 1.0)
         assert isinstance(make_policy(PolicyConfig("single_phase"), inst), SinglePhaseGridPolicy)
         assert isinstance(make_policy(PolicyConfig("fixed", price=2.0), inst), FixedPricePolicy)
 

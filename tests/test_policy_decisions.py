@@ -1,6 +1,6 @@
 """Learning-policy decisions pinned apart from the market simulator.
 
-Each case drives a policy through ``next_segment`` by hand, drawing sales
+Each case drives a policy's ``season()`` by hand, drawing sales
 from a local generator instead of the simulator's keyed streams.  The
 emitted (price, duration) sequence then depends only on the policy's
 decisions, so a change to how the simulator draws randomness leaves these
@@ -31,11 +31,16 @@ N = 10**4
 def drive(policy, model, seed):
     """Every segment the policy asks for, answered with Poisson sales."""
     rng = np.random.default_rng(seed)
-    segments, sales = [], None
-    while (request := policy.next_segment(sales)) is not None:
+    season = policy.season()
+    segments = []
+    request = next(season, None)
+    while request is not None:
         price, duration = float(request[0]), float(request[1])
         segments.append((price, duration))
-        sales = int(rng.poisson(N * model.rate(price) * duration))
+        try:
+            request = season.send(int(rng.poisson(N * model.rate(price) * duration)))
+        except StopIteration:
+            request = None
     return segments
 
 

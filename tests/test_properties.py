@@ -44,8 +44,9 @@ def demands(draw):
 
 
 @st.composite
-def seasons(draw):
-    """(instance, simulated trace) for a random instance, policy and seed."""
+def season_setups(draw):
+    """(instance, fresh policy, season key) for a random instance, policy
+    and seed."""
     model = draw(demands())
     instance = ProblemInstance(
         model, draw(st.floats(0.0, 50.0)), draw(st.floats(0.25, 4.0)), draw(st.integers(2, 10**4))
@@ -58,7 +59,33 @@ def seasons(draw):
         price=draw(st.floats(model.price_floor, model.price_ceil)),
     )
     seed = draw(st.integers(0, 2**32 - 1))
-    return instance, run_policy(instance, make_policy(config, instance), seed=(seed,))
+    return instance, make_policy(config, instance), (seed,)
+
+
+def seasons():
+    """(instance, simulated trace) for a random instance, policy and seed."""
+    return season_setups().map(
+        lambda setup: (setup[0], run_policy(setup[0], setup[1], seed=setup[2]))
+    )
+
+
+class CountRecorder:
+    """Forwards a policy's season and records every count sent into it."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.counts = []
+
+    def season(self):
+        inner = self.policy.season()
+        request = next(inner, None)
+        while request is not None:
+            sales = yield request
+            self.counts.append(sales)
+            try:
+                request = inner.send(sales)
+            except StopIteration:
+                request = None
 
 
 @PROPERTY_SETTINGS
@@ -97,3 +124,14 @@ def test_prices_in_box_or_shut_off(season):
     model = instance.demand
     for seg in trace.segments:
         assert seg.price is P_INF or model.price_floor <= seg.price <= model.price_ceil
+
+
+@PROPERTY_SETTINGS
+@given(season_setups())
+def test_every_count_is_sent_back_once_in_order(setup):
+    # no policy posts the shut-off price, so the shut-off segments are the
+    # tail the simulator closes the season with
+    instance, policy, seed = setup
+    recorder = CountRecorder(policy)
+    trace = run_policy(instance, recorder, seed=seed)
+    assert recorder.counts == [seg.sales for seg in trace.segments if seg.price is not P_INF]
