@@ -83,9 +83,6 @@ class ExperimentConfig:
     policy: str = "dpa"
     delta: float = 0.49
     log_mode: str = "practical"
-    step3_interval: str = "last"
-    learn_fraction: float | None = None
-    grid_size: int | None = None
     price: float | None = None
     out: str | None = None
     workers: int = 1
@@ -138,9 +135,6 @@ _KEYS = {
     ("policy", "name"): ("policy", str),
     ("policy", "delta"): ("delta", float),
     ("policy", "log_mode"): ("log_mode", str),
-    ("policy", "step3_interval"): ("step3_interval", str),
-    ("policy", "learn_fraction"): ("learn_fraction", float),
-    ("policy", "grid_size"): ("grid_size", int),
     ("policy", "price"): ("price", float),
 }
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))

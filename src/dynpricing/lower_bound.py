@@ -40,6 +40,8 @@ Z_MIN, Z_MAX = 1.0 / 3.0, 2.0 / 3.0
 
 def z1_of_n(n: int) -> float:
     """Hard-to-distinguish neighbor of z0 at market size n."""
+    if n < 6:  # z1 passes the family's upper end 2/3 below n = 6
+        raise ValueError(f"the worst-case family needs market size n >= 6, got n={n}")
     return 0.5 + 0.25 * float(n) ** -0.25
 
 

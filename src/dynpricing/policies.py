@@ -87,39 +87,25 @@ class FixedPricePolicy:
 class SinglePhaseGridPolicy:
     """Learn-then-earn baseline: one exploration pass, one committed price.
 
-    Tests an even grid spanning the price interval for a learn_fraction
-    share of the season, then posts the better of the estimated
-    revenue-maximizing and inventory-clearing prices.  Defaults follow the
-    classical one-phase tuning: learn_fraction n^(-1/4) and grid size
-    ceil(n^(1/4)).
+    Tests an even grid of ceil(n^(1/4)) prices spanning the price interval
+    for an n^(-1/4) share of the season, then posts the better of the
+    estimated revenue-maximizing and inventory-clearing prices: the
+    classical one-phase tuning.
     """
 
-    def __init__(
-        self,
-        instance: ProblemInstance,
-        learn_fraction: float | None = None,
-        grid_size: int | None = None,
-    ):
-        n = instance.market_size
-        if learn_fraction is None:
-            learn_fraction = n ** (-0.25)
-        if grid_size is None:
-            grid_size = int(math.ceil(n**0.25))
-        if not (0.0 < learn_fraction <= 1.0):
-            raise ValueError("learn_fraction must lie in (0, 1]")
-        if grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+    def __init__(self, instance: ProblemInstance):
+        if instance.market_size < 2:
+            raise ValueError("single_phase needs market size n >= 2")
         self.instance = instance
-        self.learn_fraction = float(learn_fraction)
-        self.grid_size = int(grid_size)
         self.applied_price = None
 
     def season(self):
         inst = self.instance
         model = inst.demand
         n, T = inst.market_size, inst.horizon
-        grid = np.linspace(model.price_floor, model.price_ceil, self.grid_size)
-        delta = self.learn_fraction * T / self.grid_size
+        grid_size = int(math.ceil(n**0.25))
+        grid = np.linspace(model.price_floor, model.price_ceil, grid_size)
+        delta = n ** (-0.25) * T / grid_size
         p_u, p_c, t = yield from _grid_pass(grid, delta, n, inst.inventory / T, 0.0)
         self.applied_price = max(p_u, p_c)
         if T - t > _T_EPS:
@@ -228,13 +214,9 @@ class DpaPolicy(_IntervalLearner):
         *,
         delta: float = 0.49,
         log_mode: str = "practical",
-        step3_interval: str = "last",
     ):
         super().__init__(instance)
-        if step3_interval not in ("last", "full"):
-            raise ValueError("step3_interval must be 'last' or 'full'")
         self.schedule = build_schedule(instance.market_size, delta, log_mode)
-        self.step3_interval = step3_interval
         self.transition_factor = (
             2.0 * math.sqrt(self.ln_n) if log_mode == "theoretical" else 2.0
         )
@@ -247,8 +229,6 @@ class DpaPolicy(_IntervalLearner):
             self.ln_n / 3.0, 2.0 * self.ln_n / 3.0, max, self.transition_factor,
         )
         if self.entered_step3:
-            if self.step3_interval == "full":
-                lo, hi = self.p_lo, self.p_hi
             price, _, _, _, _ = yield from self._run_track(
                 "c", constrained, lo, hi, self.ln_n / 2.0, self.ln_n / 2.0,
                 lambda p_u, p_c: p_c, estimate=price,
@@ -294,9 +274,6 @@ class PolicyConfig:
     name: str
     delta: float = 0.49
     log_mode: str = "practical"
-    step3_interval: str = "last"
-    learn_fraction: float | None = None
-    grid_size: int | None = None
     price: float | None = None
 
     def __post_init__(self):
@@ -309,12 +286,7 @@ class PolicyConfig:
 def make_policy(config: PolicyConfig, instance: ProblemInstance):
     """Fresh policy instance for one replication."""
     if config.name == "dpa":
-        return DpaPolicy(
-            instance,
-            delta=config.delta,
-            log_mode=config.log_mode,
-            step3_interval=config.step3_interval,
-        )
+        return DpaPolicy(instance, delta=config.delta, log_mode=config.log_mode)
     if config.name == "dpa2":
         return KinkPolicy(instance, delta=config.delta, log_mode=config.log_mode)
     if config.name == "clairvoyant":
@@ -322,5 +294,5 @@ def make_policy(config: PolicyConfig, instance: ProblemInstance):
             instance, deterministic_price(instance.demand, instance.inventory, instance.horizon)
         )
     if config.name == "single_phase":
-        return SinglePhaseGridPolicy(instance, config.learn_fraction, config.grid_size)
+        return SinglePhaseGridPolicy(instance)
     return FixedPricePolicy(instance, config.price)  # PolicyConfig checked the name

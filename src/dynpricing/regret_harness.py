@@ -12,6 +12,7 @@ cell for cell, and rerunning any sweep reproduces every cell bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ def estimate_regret(
     config: PolicyConfig,
     replications: int,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> RegretPoint:
     """Mean regret with a delta-method standard error (J^D is a constant)."""
     if replications < 2:
@@ -68,7 +69,8 @@ def estimate_regret(
             f"deterministic optimum is {jd}; regret is undefined"
         )
     cells = [(instance, config, seed, rep) for rep in range(replications)]
-    if workers is not None and workers > 1:
+    workers = min(workers, os.cpu_count() or 1)  # a pool forks every worker at once
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             revenues = np.fromiter(
                 pool.map(_simulate_cell, cells, chunksize=64), dtype=float
@@ -104,7 +106,7 @@ def sweep(
     n_values,
     replications: int,
     seed: int,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> RegretReport:
     """Regret across market sizes plus the fitted log-log slope.
 

@@ -21,6 +21,7 @@ from dynpricing.cli import (
 )
 from dynpricing.demand import ExponentialDemand, LinearDemand, PiecewiseLinearDemand, WorstCaseLinear
 from dynpricing.errors import ConfigError
+from dynpricing.policies import PolicyConfig
 
 FULL = ExperimentConfig(
     command="run",
@@ -36,9 +37,6 @@ FULL = ExperimentConfig(
     policy="dpa2",
     delta=0.45,
     log_mode="theoretical",
-    step3_interval="full",
-    learn_fraction=0.1,
-    grid_size=12,
     price=3.5,
     out="/tmp/x.csv",
     workers=4,
@@ -127,6 +125,12 @@ class TestBuilders:
         inst = build_instance(config, 100)
         assert inst.market_size == 100 and inst.inventory == 20.0
 
+    def test_every_policy_option_is_a_config_key(self):
+        # build_policy_config copies each PolicyConfig option by name
+        options = {f.name for f in dataclasses.fields(PolicyConfig)} - {"name"}
+        assert options <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert options <= {field for field, _ in cli._KEYS.values()}
+
 
 # Inputs a command cannot run: (argv, config file text or None).  Small
 # market sizes and replication counts keep a regression cheap.
@@ -145,11 +149,12 @@ BAD_INPUTS = {
     "n not numeric": (["run", "--n", "ten"], None),
     "n empty": (["run"], "[experiment]\nn =\n"),
     "missing config": (["run", "--config", "missing.ini"], None),
-    "step3_interval": (["run", "--n", "100", "--reps", "5"], "[policy]\nstep3_interval = bogus\n"),
+    # removed keys, each set to a value they used to take
+    "step3_interval": (["run", "--n", "100", "--reps", "5"], "[policy]\nstep3_interval = last\n"),
     "learn_fraction": (["run", "--n", "100", "--reps", "5"],
-                       "[policy]\nname = single_phase\nlearn_fraction = 2\n"),
+                       "[policy]\nname = single_phase\nlearn_fraction = 0.1\n"),
     "grid_size": (["run", "--n", "100", "--reps", "5"],
-                  "[policy]\nname = single_phase\ngrid_size = 1\n"),
+                  "[policy]\nname = single_phase\ngrid_size = 10\n"),
     "negative seed": (["run", "--n", "100", "--reps", "5"], "[experiment]\nseed = -1\n"),
     "unknown key": (["run", "--n", "100", "--reps", "5"], "[experiment]\nreplicatons = 5\n"),
     "unknown section": (["run", "--n", "100", "--reps", "5"], "[polcy]\nname = dpa\n"),
@@ -217,6 +222,14 @@ class TestBoundary:
             assert "ten" in argv and "error: argument --n" in err
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_lowerbound_names_the_market_size_bound(self, capsys):
+        # z1 = 1/2 + n^(-1/4)/4 leaves the family's [1/3, 2/3] below n = 6
+        assert main(["lowerbound", "--n", "5", "--reps", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the worst-case family needs market size n >= 6, got n=5\n"
+        )
+        validate(parse_args(["lowerbound", "--n", "6", "--reps", "5"]))
 
 
 class TestCommands:

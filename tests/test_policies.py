@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dynpricing.cli import parse_config
 from dynpricing.demand import (
     ExponentialDemand,
     LinearDemand,
@@ -63,9 +64,10 @@ class TestBaselines:
                 FixedPricePolicy(inst, price)
 
     def test_single_phase_grid_then_commit(self):
-        inst = lin_instance(10**4)
-        pol = SinglePhaseGridPolicy(inst, learn_fraction=0.2, grid_size=5)
-        trace = run_policy(inst, pol, seed=(0, 10**4, 0))
+        # n = 625 = 5^4: a grid of 5 prices for a fifth of the season
+        inst = lin_instance(625)
+        pol = SinglePhaseGridPolicy(inst)
+        trace = run_policy(inst, pol, seed=(0, 625, 0))
         grid_prices = [s.price for s in trace.segments[:5]]
         assert grid_prices == pytest.approx(list(np.linspace(0.1, 10.0, 5)))
         for seg in trace.segments[:5]:
@@ -75,15 +77,19 @@ class TestBaselines:
         segments_cover_season(trace, inst)
 
     def test_single_phase_default_tuning(self):
-        pol = SinglePhaseGridPolicy(lin_instance(10**4))
-        assert pol.grid_size == 10  # ceil(n^(1/4))
-        assert pol.learn_fraction == pytest.approx(0.1)  # n^(-1/4)
+        # ceil(n^(1/4)) = 10 grid prices for an n^(-1/4) = 0.1 share of the season
+        inst = lin_instance(10**4)
+        trace = run_policy(inst, SinglePhaseGridPolicy(inst), seed=(0, 10**4, 0))
+        assert len(trace.segments) == 11
+        for seg in trace.segments[:10]:
+            assert seg.duration == pytest.approx(0.01)
+        assert trace.segments[10].duration == pytest.approx(0.9)
 
     def test_single_phase_validation(self):
-        with pytest.raises(ValueError):
-            SinglePhaseGridPolicy(lin_instance(100), learn_fraction=1.5)
-        with pytest.raises(ValueError):
-            SinglePhaseGridPolicy(lin_instance(100), grid_size=1)
+        # n = 1 leaves a grid of ceil(1^(1/4)) = 1 price
+        with pytest.raises(ValueError, match="n >= 2"):
+            SinglePhaseGridPolicy(lin_instance(1))
+        SinglePhaseGridPolicy(lin_instance(2))
 
 
 class TestDpaStructure:
@@ -133,16 +139,11 @@ class TestDpaStructure:
 
     def test_constrained_track_inherits_the_last_interval(self):
         inst = exp_instance(10**4)
-        pol = DpaPolicy(inst, step3_interval="last")
+        pol = DpaPolicy(inst)
         run_policy(inst, pol, seed=(0, 10**4, 0))
         last_u = [row for row in pol.iterations if row[0] == "u"][-1]
         first_c = [row for row in pol.iterations if row[0] == "c"][0]
         assert (first_c[2], first_c[3]) == (last_u[2], last_u[3])
-
-        pol_full = DpaPolicy(inst, step3_interval="full")
-        run_policy(inst, pol_full, seed=(0, 10**4, 0))
-        first_c = [row for row in pol_full.iterations if row[0] == "c"][0]
-        assert (first_c[2], first_c[3]) == (EXP.price_floor, EXP.price_ceil)
 
     def test_transition_threshold_keeps_log_factor_in_theoretical_mode(self):
         inst = exp_instance(10**4)
@@ -163,8 +164,11 @@ class TestDpaStructure:
         segments_cover_season(trace, inst)
 
     def test_invalid_step3_interval(self):
-        with pytest.raises(ValueError):
-            DpaPolicy(lin_instance(100), step3_interval="middle")
+        # the constrained track has one start, so no key or parameter picks it
+        with pytest.raises(ConfigError, match="step3_interval"):
+            parse_config("[policy]\nstep3_interval = last\n")
+        with pytest.raises(TypeError):
+            DpaPolicy(lin_instance(100), step3_interval="last")
 
 
 class TestKinkPolicy:

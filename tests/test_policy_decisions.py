@@ -20,7 +20,7 @@ from dynpricing.demand import (
     PiecewiseLinearDemand,
     ProblemInstance,
 )
-from dynpricing.policies import DpaPolicy, KinkPolicy
+from dynpricing.policies import DpaPolicy, KinkPolicy, SinglePhaseGridPolicy
 
 LIN = LinearDemand(30.0, 3.0)
 EXP = ExponentialDemand(80.0, 0.5)
@@ -52,16 +52,7 @@ def digest(segments):
 CASES = {
     # name: (policy factory, model, seed)
     "linear": (lambda: DpaPolicy(ProblemInstance(LIN, 20.0, 1.0, N)), LIN, 1),
-    "exponential_last": (
-        lambda: DpaPolicy(ProblemInstance(EXP, 20.0, 1.0, N), step3_interval="last"),
-        EXP,
-        2,
-    ),
-    "exponential_full": (
-        lambda: DpaPolicy(ProblemInstance(EXP, 20.0, 1.0, N), step3_interval="full"),
-        EXP,
-        2,
-    ),
+    "exponential_last": (lambda: DpaPolicy(ProblemInstance(EXP, 20.0, 1.0, N)), EXP, 2),
     "theoretical": (
         lambda: DpaPolicy(ProblemInstance(LIN, 20.0, 1.0, N), log_mode="theoretical"),
         LIN,
@@ -73,6 +64,7 @@ CASES = {
         5,
     ),
     "kinked": (lambda: KinkPolicy(ProblemInstance(KINKED, 81.0, 1.0, N)), KINKED, 4),
+    "single_phase": (lambda: SinglePhaseGridPolicy(ProblemInstance(LIN, 20.0, 1.0, N)), LIN, 6),
 }
 
 # recorded once; (count, first, last, digest, applied price, handed off,
@@ -85,10 +77,6 @@ EXPECTED = {
     "exponential_last": (
         154, (0.1, 0.000476729650497037), (2.7450677783230324, 0.18422396342578629),
         "327f987af65a93a8", 2.7450677783230324, True, False,
-    ),
-    "exponential_full": (
-        154, (0.1, 0.000476729650497037), (2.758751658876504, 0.18422396342578629),
-        "4f2e3d1b231eb8ca", 2.758751658876504, True, False,
     ),
     # the first period outlasts the season: one cut grid pass, no commitment
     "theoretical": (
@@ -105,6 +93,10 @@ EXPECTED = {
         115, (2.0, 0.00024919959003254205), (3.9936560653369586, 0.013207842409124204),
         "f4b0d79eacf77756", 3.9936560653369586, False, False,
     ),
+    # ceil(N^(1/4)) = 10 prices for N^(-1/4) T / 10 = 0.01 each, then 0.9
+    "single_phase": (
+        11, (0.1, 0.01), (4.5, 0.9), "fb5fc4bd33a42285", 4.5, False, False,
+    ),
 }
 
 
@@ -120,4 +112,4 @@ def test_emitted_segments_and_applied_price(name):
     assert digest(segments) == sha
     assert policy.applied_price == applied
     assert getattr(policy, "entered_step3", False) == handed_off
-    assert policy.truncated_learning == truncated
+    assert getattr(policy, "truncated_learning", False) == truncated

@@ -55,7 +55,6 @@ def season_setups(draw):
     config = PolicyConfig(
         name,
         log_mode=draw(st.sampled_from(("practical", "theoretical"))),
-        step3_interval=draw(st.sampled_from(("last", "full"))),
         price=draw(st.floats(model.price_floor, model.price_ceil)),
     )
     seed = draw(st.integers(0, 2**32 - 1))

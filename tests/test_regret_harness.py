@@ -1,11 +1,13 @@
 """Regret estimation, slope fitting, sweeps, and CSV output."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from dynpricing.demand import LinearDemand, ProblemInstance
+from dynpricing import regret_harness
 from dynpricing.errors import UndefinedRegretError
 from dynpricing.policies import PolicyConfig
 from dynpricing.regret_harness import (
@@ -40,6 +42,28 @@ class TestEstimate:
         serial = estimate_regret(*cell, seed=0, workers=1)
         pooled = estimate_regret(*cell, seed=0, workers=2)
         assert serial == pooled
+
+    def test_pool_never_exceeds_the_cores(self, monkeypatch):
+        built = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(regret_harness, "ProcessPoolExecutor", InlinePool)
+        cell = BASE.with_market_size(100), PolicyConfig("dpa"), 5
+        assert estimate_regret(*cell, seed=0, workers=10**6) == estimate_regret(*cell, seed=0)
+        assert built == [4]
 
     def test_zero_value_benchmark_rejected(self):
         empty = ProblemInstance(LIN, 0.0, 1.0, 100)
