@@ -8,8 +8,8 @@ The package is organized around a small set of pieces:
     values
 ``market_sim``
     Poisson market simulator; ``run_policy`` drives a policy's ``season()``
-    generator, which yields (price, duration) requests and is sent each
-    segment's sales count
+    generator, which yields (prices, duration) passes and is sent each
+    full pass's sales counts
 ``schedules`` / ``policies``
     learning schedules and the two-track shrinking-interval policies,
     plus fixed-price (clairvoyant at p_D) and single-phase baselines

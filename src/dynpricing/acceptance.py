@@ -209,7 +209,7 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
     mu = n * LINEAR.rate(price) * duration
     counts = np.empty(reps)
     for rep in range(reps):
-        counts[rep] = run_policy(instance, policy, (seed, n, rep)).segments[0].sales
+        counts[rep] = run_policy(instance, policy, (seed, n, rep)).passes[0].sales[0]
     mean_band = 4.0 * math.sqrt(mu / reps)
     var_band = 4.0 * math.sqrt((mu + 2.0 * mu**2) / reps)
     mean_ok = abs(counts.mean() - mu) <= mean_band

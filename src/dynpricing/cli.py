@@ -12,8 +12,11 @@ Commands:
   solve       closed-form benchmark prices and value for a demand spec
   run         Monte Carlo cell for one (instance, policy); trace CSV
   sweep       regret across market sizes; regret CSV + slope CSV
-  lowerbound  worst-case family divergence/regret inequality report
+  lowerbound  worst-case family divergence/regret inequality report per n
   check       acceptance suite
+
+solve and run take one market size (10 if none is given); sweep and
+lowerbound take every size given (DEFAULT_N_VALUES if none is).
 
 Exit codes: 0 ok, 1 a check failed (sweep --check, lowerbound, check),
 2 bad input.
@@ -57,6 +60,7 @@ from .lower_bound import (
 )
 
 DEFAULT_N_VALUES = (10, 100, 1000, 10000, 100000)
+ONE_SIZE_COMMANDS = ("solve", "run")  # without an n they run at the first default
 
 _DEMAND_ARITY = {
     # family -> (param count, model); an optional floor/ceil pair may follow
@@ -155,6 +159,11 @@ def print_config(config: ExperimentConfig) -> str:
 
 def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
     """Config from INI text; every error message names ``source``."""
+    return ExperimentConfig(**_config_fields(text, source))
+
+
+def _config_fields(text: str, source: str) -> dict:
+    """The ExperimentConfig fields INI text sets, parsed."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=source)
@@ -176,7 +185,7 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
                 fields[field] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(f"{source}: [{section}] {key} = {raw!r}: {exc}") from exc
-    return ExperimentConfig(**fields)
+    return fields
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -229,7 +238,7 @@ def cmd_solve(config: ExperimentConfig, stdout) -> int:
     pc = solve_pc(model, x, T)
     pd = deterministic_price(model, x, T)
     per_unit = deterministic_value(model, x, T, 1)
-    n = config.n_values[0]
+    (n,) = config.n_values
     print(f"p_u = {pu!r}", file=stdout)
     print(f"p_c = {pc!r}", file=stdout)
     print(f"p_D = {pd!r}", file=stdout)
@@ -239,14 +248,11 @@ def cmd_solve(config: ExperimentConfig, stdout) -> int:
 
 
 def cmd_run(config: ExperimentConfig, stdout) -> int:
-    n = config.n_values[0]
+    (n,) = config.n_values
     instance = build_instance(config, n)
     pol_config = build_policy_config(config)
-    traces = [
-        run_policy(instance, make_policy(pol_config, instance),
-                   seed=(config.seed, n, rep))
-        for rep in range(config.replications)
-    ]
+    traces = [run_policy(instance, make_policy(pol_config, instance), seed=(config.seed, n, rep))
+              for rep in range(config.replications)]
     jd = deterministic_value(instance.demand, config.inventory, config.horizon, n)
     mean_rev = sum(t.terminal_revenue for t in traces) / len(traces)
     print(
@@ -281,9 +287,7 @@ def cmd_sweep(config: ExperimentConfig, stdout) -> int:
         print(f"warning: {warning}", file=stdout)
     if config.out:
         meta = _meta(config)
-        write_regret_csv(
-            config.out, [(config.policy, p) for p in report.per_n], meta
-        )
+        write_regret_csv(config.out, [(config.policy, p) for p in report.per_n], meta)
         slope_path = _slope_path(config.out)
         write_slope_csv(slope_path, [(config.policy, report)], meta)
         print(f"wrote {config.out} and {slope_path}", file=stdout)
@@ -303,28 +307,22 @@ def _slope_path(out: str) -> str:
 
 def cmd_lowerbound(config: ExperimentConfig, stdout) -> int:
     pol_config = build_policy_config(config)
-    n = config.n_values[0]
-    report = evaluate_policy_bounds(pol_config, n, config.replications, config.seed)
-    print(
-        f"{report.policy} at n={n}: K = {report.K_hat!r} +- {report.K_se!r}",
-        file=stdout,
-    )
-    print(
-        f"information cost: {report.info_cost_lhs!r} <= {report.info_cost_rhs!r}"
-        f" + {report.info_cost_slack!r}"
-        f" -> {'ok' if report.info_cost_pass else 'VIOLATED'}",
-        file=stdout,
-    )
-    print(
-        f"regret floor: {report.floor_lhs!r} >= {report.floor_rhs!r}"
-        f" - {report.floor_slack!r}"
-        f" -> {'ok' if report.floor_pass else 'VIOLATED'}",
-        file=stdout,
-    )
+    reports = []
+    for n in config.n_values:
+        r = evaluate_policy_bounds(pol_config, n, config.replications, config.seed)
+        reports.append(r)
+        print(
+            f"{r.policy} at n={n}: K = {r.K_hat!r} +- {r.K_se!r}\n"
+            f"information cost: {r.info_cost_lhs!r} <= {r.info_cost_rhs!r}"
+            f" + {r.info_cost_slack!r} -> {'ok' if r.info_cost_pass else 'VIOLATED'}\n"
+            f"regret floor: {r.floor_lhs!r} >= {r.floor_rhs!r}"
+            f" - {r.floor_slack!r} -> {'ok' if r.floor_pass else 'VIOLATED'}",
+            file=stdout,
+        )
     if config.out:
-        write_bound_csv(config.out, [report], _meta(config))
+        write_bound_csv(config.out, reports, _meta(config))
         print(f"wrote {config.out}", file=stdout)
-    return 0 if report.passed else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_check(config: ExperimentConfig, stdout) -> int:
@@ -391,17 +389,19 @@ def _demand_fields(spec: str) -> dict:
 def parse_args(argv) -> ExperimentConfig:
     args = vars(_build_parser().parse_args(argv))
     path, spec = args.pop("config"), args.pop("demand")
-    config = ExperimentConfig()
+    fields = {}
     if path is not None:
         try:
             with open(path) as fh:
-                config = parse_config(fh.read(), source=path)
+                fields = _config_fields(fh.read(), source=path)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
-    overrides = {field: value for field, value in args.items() if value is not None}
+    fields.update((field, value) for field, value in args.items() if value is not None)
     if spec is not None:
-        overrides.update(_demand_fields(spec))
-    return dataclasses.replace(config, **overrides)
+        fields.update(_demand_fields(spec))
+    if fields["command"] in ONE_SIZE_COMMANDS:
+        fields.setdefault("n_values", DEFAULT_N_VALUES[:1])
+    return ExperimentConfig(**fields)
 
 
 def validate(config: ExperimentConfig) -> None:
@@ -426,15 +426,16 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"{command} needs replications >= {min_reps}")
     if command == "sweep" and len(set(config.n_values)) < 3:
         raise ConfigError("sweep needs at least 3 distinct market sizes")
+    if command in ONE_SIZE_COMMANDS and len(config.n_values) > 1:
+        raise ConfigError(f"{command} takes one market size, got {len(config.n_values)}")
     if command == "check":
         return
     try:
         if command == "lowerbound":
-            n = config.n_values[0]
-            instances = [worst_case_instance(Z0, n), worst_case_instance(z1_of_n(n), n)]
+            instances = [worst_case_instance(z, n) for n in config.n_values
+                         for z in (Z0, z1_of_n(n))]
         else:
-            n_values = config.n_values if command == "sweep" else config.n_values[:1]
-            instances = [build_instance(config, n) for n in n_values]
+            instances = [build_instance(config, n) for n in config.n_values]
         if command != "solve":
             pol_config = build_policy_config(config)
             for instance in instances:

@@ -69,17 +69,18 @@ def kl_path(trace: SimulationTrace, n: int, z0: float, z: float) -> float:
     arrivals); returns inf in that case.
     """
     total = 0.0
-    for seg in trace.segments:
-        if seg.price is P_INF or seg.duration <= 0.0:
-            continue
-        lam0 = _rate(seg.price, z0)
-        lamz = _rate(seg.price, z)
-        if lamz <= 0.0:
-            if lam0 > 0.0:
-                return math.inf
-            continue
-        entropy_term = lam0 * math.log(lam0 / lamz) if lam0 > 0.0 else 0.0
-        total += seg.duration * (entropy_term + lamz - lam0)
+    for pass_ in trace.passes:
+        for price, duration in zip(pass_.prices, pass_.durations):
+            if price is P_INF or duration <= 0.0:
+                continue
+            lam0 = _rate(price, z0)
+            lamz = _rate(price, z)
+            if lamz <= 0.0:
+                if lam0 > 0.0:
+                    return math.inf
+                continue
+            entropy_term = lam0 * math.log(lam0 / lamz) if lam0 > 0.0 else 0.0
+            total += duration * (entropy_term + lamz - lam0)
     return n * total
 
 

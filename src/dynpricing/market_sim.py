@@ -1,13 +1,15 @@
 """Poisson market simulator and the season protocol.
 
 A simulation runs one selling season.  A policy is any object whose
-``season()`` returns a generator of (price, duration) requests;
-``run_policy`` sends each segment's realized sales count back into it, so
-the policy sees every count before choosing its next segment.  The
-simulator keeps the clock, the inventory, the revenue and the random
-stream.  Once inventory hits zero, or the generator stops early, the
-remainder of the season is priced at the shut-off price ``P_INF`` with no
-further policy involvement.
+``season()`` returns a generator of (prices, duration) passes: k >= 1
+prices, each posted for ``duration`` in order.  ``run_policy`` sends the
+list of k sales counts back into it once the whole pass has run; a pass
+that a stock-out or the season end cuts short is the season's last and is
+not sent back.  The simulator keeps the clock, the inventory, the revenue
+and the random stream.  Once inventory hits zero, or the generator stops
+early, the remainder of the season is priced at the shut-off price
+``P_INF`` with no further policy involvement.  A trace keeps one record
+per pass and builds its per-segment view only when read.
 
 Randomness: each season carries a key K of 1 to 4 words, each in
 [0, 2^64); the sweeps use (seed, n, rep).  Zero-padded to (K0, K1, K2,
@@ -88,86 +90,113 @@ class Segment(NamedTuple):
     sales: int
 
 
+class Pass(NamedTuple):
+    """A pass as it ran: ``durations`` and ``sales`` have one entry per price
+    that ran, so a cut pass is shorter in them than in ``prices``."""
+
+    prices: list
+    t_start: float
+    durations: list
+    sales: list
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Everything a season produced, in segment order."""
+    """Everything a season produced, one record per pass."""
 
-    segments: tuple
+    passes: tuple
     terminal_revenue: float
     stockout_time: float | None
+
+    @property
+    def segments(self) -> tuple:
+        """One ``Segment`` per price that ran, in order; built on each read."""
+        segments = []
+        for prices, t, durations, sales in self.passes:
+            for price, duration, count in zip(prices, durations, sales):
+                segments.append(Segment(price, t, duration, count))
+                t += duration
+        return tuple(segments)
 
 
 def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     """Run one season of ``policy`` on ``instance``.
 
-    ``policy.season()`` must return a generator that yields (price,
-    duration) requests.  Each segment's realized sales count is sent back
-    into it right after the segment, the last one too, so every count is
-    delivered exactly once; a request yielded after the season has ended
-    (clock at the horizon, or stock out) is discarded.  Prices must lie in
-    the model's interval or be ``P_INF``; the final segment is clamped to
-    the season end.  Identical (instance, policy behavior, seed) triples
-    reproduce the trace exactly.
+    ``policy.season()`` must return a generator of (prices, duration)
+    passes (see the module docstring).  A pass whose last price ends the
+    season is sent back, and whatever the policy yields next is discarded.
+    Prices must lie in the model's interval or be ``P_INF``; the segment
+    that crosses the season end is clamped to it.  Identical (instance,
+    policy behavior, seed) triples reproduce the trace exactly.
     """
     model = instance.demand
+    rate = model._rate
+    floor, ceil = model.price_floor, model.price_ceil
     T = instance.horizon
     n = instance.market_size
     open_until = T - _T_EPS
-    lowest = model.price_floor - _PRICE_SLACK
-    highest = model.price_ceil + _PRICE_SLACK
-    rng = season_rng(seed)
+    lowest, highest = floor - _PRICE_SLACK, ceil + _PRICE_SLACK
+    poisson = season_rng(seed).poisson
     stock = instance.scaled_inventory
     clock = 0.0
     revenue = 0.0
-    segments = []
+    passes = []
     stockout_time = None
     season = policy.season()
     # a season with nothing to sell never asks the policy
     request = next(season, None) if stock and clock < open_until else None
     while request is not None:
         try:
-            price, duration = request
+            prices, duration = request
+            prices = [p if p is P_INF else float(p) for p in prices]
+            duration = float(duration)
         except (TypeError, ValueError):
-            raise PolicyProtocolError(f"bad segment request {request!r}")
-        if price is not P_INF:
-            price = float(price)
-            if not lowest <= price <= highest:
-                raise PolicyProtocolError(
-                    f"policy emitted infeasible price {price!r}"
-                )
-        duration = float(duration)
+            raise PolicyProtocolError(f"bad pass request {request!r}") from None
+        posted = [p for p in prices if p is not P_INF]
+        lo, hi = (min(posted), max(posted)) if posted else (floor, ceil)
+        # min and max pass over a NaN that does not come first; the sum does not
+        if not prices or not lowest <= lo <= hi <= highest or math.isnan(sum(posted)):
+            raise PolicyProtocolError(f"policy posted an empty or infeasible pass {prices!r}")
         if duration < -_T_EPS:
             raise PolicyProtocolError(f"policy emitted negative duration {duration!r}")
         # a rounding-sized negative duration advances the clock by 0, and the
-        # trace records what the clock advanced by; clamp at season end
-        duration = min(max(0.0, duration), T - clock)
-        # zero-mean segments (shut-off price, zero duration) draw nothing
-        mean = n * model.rate(price) * duration
-        if mean > 0:
-            sales = min(int(rng.poisson(mean)), stock)
-            stock -= sales
-        else:
-            sales = 0
-        if price is not P_INF:
-            revenue += price * sales
-        segments.append(Segment(price, clock, duration, sales))
-        clock += duration
+        # trace records what the clock advanced by
+        duration = max(0.0, duration)
+        # a price inside the slack sells at the box edge, the shut-off price not at all
+        clamp = lo < floor or hi > ceil
+        rates = [0.0 if p is P_INF else n * rate(min(max(p, floor), ceil) if clamp else p)
+                 for p in prices]
+        start, durations, sales = clock, [], []
+        for price, n_rate in zip(prices, rates):
+            rest = T - clock
+            step = rest if rest < duration else duration  # clamped at season end
+            mean = n_rate * step
+            # zero-mean segments draw nothing, and neither do negative rates
+            if mean > 0:
+                count = min(int(poisson(mean)), stock)
+                stock -= count
+                revenue += price * count
+            else:
+                count = 0
+            durations.append(step)
+            sales.append(count)
+            clock += step
+            if not stock or clock >= open_until:
+                break
+        passes.append(Pass(prices, start, durations, sales))
         if not stock:
             stockout_time = clock
-        try:
-            request = season.send(sales)  # sent even when the season just ended
-        except StopIteration:
-            break
+        if len(sales) == len(prices):  # a cut pass is the season's last
+            try:
+                request = season.send(sales)  # sent even when the season just ended
+            except StopIteration:
+                break
         if not stock or clock >= open_until:
             break
     if clock < open_until:
         # stockout or early policy exit: shut off demand for the tail
-        segments.append(Segment(P_INF, clock, T - clock, 0))
-    return SimulationTrace(
-        segments=tuple(segments),
-        terminal_revenue=revenue,
-        stockout_time=stockout_time,
-    )
+        passes.append(Pass([P_INF], clock, [T - clock], [0]))
+    return SimulationTrace(tuple(passes), revenue, stockout_time)
 
 
 def poisson_tail_check(

@@ -1,14 +1,14 @@
 """Pricing policies speaking the simulator's season protocol.
 
-Every policy's ``season()`` is a generator: it yields (price, duration)
-segments and receives, through ``send``, the realized sales count of the
-segment it just posted (see ``market_sim.run_policy``); a policy object
-runs one season.  The clairvoyant baseline is ``FixedPricePolicy`` at the
-deterministic price p_D.  The learning policies follow the
-shrinking-interval scheme: test a price grid on the current interval,
-estimate the demand rate at each grid point, re-center a narrower interval
-on the estimated optimum, and finally commit to a single price for the
-rest of the season.
+Every policy's ``season()`` is a generator of (prices, duration) passes
+that receives, through ``send``, the sales counts of each pass that ran
+in full; a cut pass ends the season (see ``market_sim.run_policy``).  A
+policy object runs one season.  The clairvoyant baseline is
+``FixedPricePolicy`` at the deterministic price p_D.  The learning
+policies follow the shrinking-interval scheme: test a price grid, one
+pass, on the current interval, estimate the demand rate at each grid
+point, re-center a narrower interval on the estimated optimum, and
+finally commit to a single price for the rest of the season.
 
 One track runner does every learning iteration of every policy.  A track
 is set by its schedule, its left and right shrink widths (in grid steps),
@@ -50,18 +50,17 @@ POLICY_NAMES = ("dpa", "dpa2", "clairvoyant", "single_phase", "fixed")
 
 
 def _grid_pass(prices, delta, n, target, t):
-    """Post each of ``prices`` for ``delta``, starting at clock ``t``; a
-    generator of segments.
+    """Post each of ``prices`` for ``delta``, starting at clock ``t``, as one
+    pass; a generator.
 
     The rate at each price is estimated as sales / (n delta).  Returns
     (p_u_hat, p_c_hat, t): the grid price of the highest estimated revenue,
     the one whose rate estimate is nearest ``target``, and the clock after
     the pass, advanced by ``delta`` per price.
     """
-    d_hat = np.empty(len(prices))
-    for j, price in enumerate(prices.tolist()):
-        sales = yield (price, delta)
-        d_hat[j] = sales / (n * delta)
+    sales = yield (prices.tolist(), delta)
+    d_hat = np.array(sales, dtype=float) / (n * delta)
+    for _ in sales:
         t += delta
     p_u = float(prices[int(np.argmax(prices * d_hat))])
     p_c = float(prices[int(np.argmin(np.abs(d_hat - target)))])
@@ -81,7 +80,7 @@ class FixedPricePolicy:
         self.applied_price = float(price)
 
     def season(self):
-        yield (self.applied_price, self.instance.horizon)
+        yield ([self.applied_price], self.instance.horizon)
 
 
 class SinglePhaseGridPolicy:
@@ -109,7 +108,7 @@ class SinglePhaseGridPolicy:
         p_u, p_c, t = yield from _grid_pass(grid, delta, n, inst.inventory / T, 0.0)
         self.applied_price = max(p_u, p_c)
         if T - t > _T_EPS:
-            yield (self.applied_price, T - t)
+            yield ([self.applied_price], T - t)
 
 
 class _IntervalLearner:
@@ -188,7 +187,7 @@ class _IntervalLearner:
         self.applied_price = price
         remaining = self.instance.horizon - self._t
         if remaining > _T_EPS:
-            yield (price, remaining)
+            yield ([price], remaining)
 
 
 class DpaPolicy(_IntervalLearner):

@@ -61,13 +61,9 @@ def estimate_regret(
     if replications < 2:
         raise ValueError("need at least 2 replications")
     n = instance.market_size
-    jd = deterministic_value(
-        instance.demand, instance.inventory, instance.horizon, n
-    )
+    jd = deterministic_value(instance.demand, instance.inventory, instance.horizon, n)
     if jd <= 0.0:
-        raise UndefinedRegretError(
-            f"deterministic optimum is {jd}; regret is undefined"
-        )
+        raise UndefinedRegretError(f"deterministic optimum is {jd}; regret is undefined")
     cells = [(instance, config, seed, rep) for rep in range(replications)]
     workers = min(workers, os.cpu_count() or 1)  # a pool forks every worker at once
     if workers > 1:

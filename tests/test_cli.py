@@ -142,6 +142,12 @@ BAD_INPUTS = {
     "sweep 2 distinct n": (["sweep", "--n", "100 100 1000", "--reps", "5"], None),
     "lowerbound 1 rep": (["lowerbound", "--n", "1000", "--reps", "1"], None),
     "lowerbound n=5": (["lowerbound", "--n", "5", "--reps", "5"], None),
+    "lowerbound n=5 second": (["lowerbound", "--n", "1000 5", "--reps", "5"], None),
+    "lowerbound n=5 in file": (["lowerbound", "--reps", "5"], "[experiment]\nn = 10 100 5\n"),
+    "solve two n": (["solve", "--n", "100 1000"], None),
+    "solve two n in file": (["solve"], "[experiment]\nn = 100 1000\n"),
+    "run two n": (["run", "--n", "100 1000", "--reps", "5"], None),
+    "run two n in file": (["run", "--reps", "5"], "[experiment]\nn = 100 1000\n"),
     "run no inventory": (["run", "--n", "100", "--reps", "5"], "[experiment]\ninventory = 0\n"),
     "sweep no inventory": (["sweep", "--n", "100 1000 10000", "--reps", "5"],
                            "[experiment]\ninventory = 0\n"),
@@ -231,6 +237,16 @@ class TestBoundary:
         )
         validate(parse_args(["lowerbound", "--n", "6", "--reps", "5"]))
 
+    def test_one_size_commands_name_the_count(self, capsys):
+        assert main(["run", "--n", "100 1000 10000", "--reps", "5"]) == 2
+        assert capsys.readouterr().err == "error: run takes one market size, got 3\n"
+
+    def test_one_size_commands_default_to_one_size(self):
+        for command in ("solve", "run"):
+            assert parse_args([command]).n_values == (DEFAULT_N_VALUES[0],)
+        # the other commands keep every default size
+        assert parse_args(["lowerbound"]).n_values == DEFAULT_N_VALUES
+
 
 class TestCommands:
     def test_solve_prints_closed_forms(self, capsys):
@@ -282,6 +298,31 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "information cost" in out and "regret floor" in out
+
+    def test_lowerbound_reports_every_n(self, tmp_path, capsys):
+        out = tmp_path / "bound.csv"
+        code = main(["lowerbound", "--policy", "clairvoyant", "--n", "1000 100000",
+                     "--reps", "20", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert "clairvoyant at n=1000:" in stdout and "clairvoyant at n=100000:" in stdout
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert [row.split(",")[:2] for row in rows[1:]] == [
+            ["clairvoyant", "1000"], ["clairvoyant", "100000"],
+        ]
+
+    def test_lowerbound_fails_if_any_n_fails(self, monkeypatch, capsys):
+        evaluate = cli.evaluate_policy_bounds
+
+        def fail_at_large_n(config, n, replications, seed):
+            report = evaluate(config, n, replications, seed)
+            return dataclasses.replace(report, floor_pass=n < 10**5)
+
+        monkeypatch.setattr(cli, "evaluate_policy_bounds", fail_at_large_n)
+        argv = ["lowerbound", "--policy", "clairvoyant", "--reps", "5", "--seed", "0"]
+        assert main(argv + ["--n", "1000 100000"]) == 1
+        assert "-> VIOLATED" in capsys.readouterr().out
+        assert main(argv + ["--n", "1000 10000"]) == 0
 
     def test_bad_flag_exits_2(self, capsys):
         assert main(["sweep", "--delta", "0.7"]) == 2

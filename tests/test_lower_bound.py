@@ -18,17 +18,17 @@ from dynpricing.lower_bound import (
     write_bound_csv,
     z1_of_n,
 )
-from dynpricing.market_sim import P_INF, Segment, SimulationTrace, run_policy
+from dynpricing.market_sim import P_INF, Pass, SimulationTrace, run_policy
 from dynpricing.policies import FixedPricePolicy, PolicyConfig
 from dynpricing.regret_harness import csv_meta
 
 
+def trace_of(*passes):
+    return SimulationTrace(passes=passes, terminal_revenue=0.0, stockout_time=None)
+
+
 def flat_trace(price, duration=1.0):
-    return SimulationTrace(
-        segments=(Segment(price=price, t_start=0.0, duration=duration, sales=0),),
-        terminal_revenue=0.0,
-        stockout_time=None,
-    )
+    return trace_of(Pass([price], 0.0, [duration], [0]))
 
 
 class TestFamily:
@@ -78,25 +78,13 @@ class TestKlPath:
         assert expected == pytest.approx(1.1412815220388062, rel=1e-12)
 
     def test_additive_in_segments(self):
-        two = SimulationTrace(
-            segments=(
-                Segment(price=1.4, t_start=0.0, duration=0.3, sales=0),
-                Segment(price=1.4, t_start=0.3, duration=0.7, sales=0),
-            ),
-            terminal_revenue=0.0, stockout_time=None,
-        )
+        two = trace_of(Pass([1.4], 0.0, [0.3], [0]), Pass([1.4], 0.3, [0.7], [0]))
         assert kl_path(two, 50, Z0, 0.6) == pytest.approx(
             kl_path(flat_trace(1.4), 50, Z0, 0.6), rel=1e-12
         )
 
     def test_shutoff_segments_contribute_nothing(self):
-        with_tail = SimulationTrace(
-            segments=(
-                Segment(price=1.4, t_start=0.0, duration=1.0, sales=0),
-                Segment(price=P_INF, t_start=1.0, duration=0.5, sales=0),
-            ),
-            terminal_revenue=0.0, stockout_time=None,
-        )
+        with_tail = trace_of(Pass([1.4], 0.0, [1.0], [0]), Pass([P_INF], 1.0, [0.5], [0]))
         assert kl_path(with_tail, 50, Z0, 0.6) == kl_path(flat_trace(1.4), 50, Z0, 0.6)
 
     def test_vanishing_alternative_rate_is_infinitely_informative(self):

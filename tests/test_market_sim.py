@@ -1,4 +1,4 @@
-"""Poisson market simulator: protocol, determinism, stockout, CSV."""
+"""Poisson market simulator: pass protocol, determinism, stockout, CSV."""
 
 import math
 import os
@@ -15,6 +15,7 @@ from dynpricing.demand import LinearDemand, PiecewiseLinearDemand, ProblemInstan
 from dynpricing.errors import PolicyProtocolError
 from dynpricing.market_sim import (
     P_INF,
+    Pass,
     Segment,
     SimulationTrace,
     poisson_tail_check,
@@ -28,8 +29,8 @@ LIN = LinearDemand(30.0, 3.0)
 
 
 class ScriptedPolicy:
-    """Plays back a fixed list of (price, duration) segments and records
-    every sales count sent back."""
+    """Plays back a fixed list of (prices, duration) passes and records
+    every list of sales counts sent back."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -51,12 +52,12 @@ class TestSegmentDraws:
         # the shut-off price and a zero duration draw nothing, so the next
         # segment's sales are the fresh stream's first Poisson draw
         inst = make_instance()
-        policy = ScriptedPolicy([(P_INF, 0.5), (5.0, 0.0), (5.0, 0.5)])
+        policy = ScriptedPolicy([([P_INF], 0.5), ([5.0], 0.0), ([5.0], 0.5)])
         trace = run_policy(inst, policy, seed=(0,))
         first = int(fresh_rng((0,)).poisson(1000 * 15.0 * 0.5))
         assert [seg.sales for seg in trace.segments] == [0, 0, first]
         assert trace.terminal_revenue == 5.0 * first
-        assert policy.seen_sales == [0, 0, first]
+        assert policy.seen_sales == [[0], [0], [first]]
 
     def test_sales_capped_by_inventory(self):
         inst = make_instance(inventory=0.005, n=1000)  # 5 units
@@ -67,26 +68,27 @@ class TestSegmentDraws:
     def test_negative_duration_rejected(self):
         inst = make_instance()
         with pytest.raises(PolicyProtocolError):
-            run_policy(inst, ScriptedPolicy([(5.0, -0.1)]), seed=(0,))
+            run_policy(inst, ScriptedPolicy([([5.0], -0.1)]), seed=(0,))
 
     def test_rounding_sized_negative_duration_is_recorded_as_zero(self):
         # the clock does not move for it, and the trace says so
         inst = make_instance()
-        trace = run_policy(inst, ScriptedPolicy([(5.0, -1e-13), (5.0, 1.0)]), seed=(0,))
+        trace = run_policy(inst, ScriptedPolicy([([5.0], -1e-13), ([5.0], 1.0)]), seed=(0,))
         assert trace.segments[0] == Segment(5.0, 0.0, 0.0, 0)
         assert trace.segments[1].t_start == 0.0 and trace.segments[1].duration == 1.0
 
     def test_stockout_mid_season_sends_the_last_count(self):
         inst = make_instance(inventory=2.0)  # 2000 units against a mean of 7500
-        policy = ScriptedPolicy([(5.0, 0.5), (6.0, 0.5)])
+        policy = ScriptedPolicy([([5.0], 0.5), ([6.0], 0.5)])
         trace = run_policy(inst, policy, seed=(0, 1000, 0))
-        assert policy.seen_sales == [2000]
+        assert policy.seen_sales == [[2000]]
         assert trace.segments[0].sales == 2000
 
     def test_empty_season_is_one_shutoff_segment(self):
         inst = make_instance()
         trace = run_policy(inst, ScriptedPolicy([]), seed=(0,))
-        assert trace == SimulationTrace((Segment(P_INF, 0.0, 1.0, 0),), 0.0, None)
+        assert trace == SimulationTrace((Pass([P_INF], 0.0, [1.0], [0]),), 0.0, None)
+        assert trace.segments == (Segment(P_INF, 0.0, 1.0, 0),)
 
 
 class TestRunPolicy:
@@ -112,7 +114,7 @@ class TestRunPolicy:
         # two segments; its duration stays as posted and the tail is closed
         # with the shut-off price
         inst = make_instance(inventory=2.0)
-        trace = run_policy(inst, ScriptedPolicy([(5.0, 0.5), (6.0, 0.5)]), seed=(0, 1000, 0))
+        trace = run_policy(inst, ScriptedPolicy([([5.0], 0.5), ([6.0], 0.5)]), seed=(0, 1000, 0))
         assert trace.stockout_time == pytest.approx(0.5)
         assert trace.segments[0].sales == inst.scaled_inventory
         assert trace.segments[-1].price is P_INF
@@ -121,7 +123,7 @@ class TestRunPolicy:
 
     def test_early_exit_closes_season_with_shutoff(self):
         inst = make_instance()
-        trace = run_policy(inst, ScriptedPolicy([(5.0, 0.25)]), seed=(0, 1000, 0))
+        trace = run_policy(inst, ScriptedPolicy([([5.0], 0.25)]), seed=(0, 1000, 0))
         assert trace.segments[-1].price is P_INF
         assert trace.segments[-1].duration == pytest.approx(0.75)
         total = sum(s.duration for s in trace.segments)
@@ -129,25 +131,25 @@ class TestRunPolicy:
 
     def test_overlong_request_clamped_to_season_end(self):
         inst = make_instance()
-        trace = run_policy(inst, ScriptedPolicy([(5.0, 3.0)]), seed=(0, 1000, 0))
+        trace = run_policy(inst, ScriptedPolicy([([5.0], 3.0)]), seed=(0, 1000, 0))
         assert trace.segments[0].duration == pytest.approx(1.0)
         assert len(trace.segments) == 1
 
     def test_infeasible_price_rejected(self):
         inst = make_instance()
         with pytest.raises(PolicyProtocolError):
-            run_policy(inst, ScriptedPolicy([(11.0, 0.5)]), seed=0)
+            run_policy(inst, ScriptedPolicy([([11.0], 0.5)]), seed=0)
         with pytest.raises(PolicyProtocolError):
-            run_policy(inst, ScriptedPolicy([(5.0, -0.5)]), seed=0)
+            run_policy(inst, ScriptedPolicy([([5.0], -0.5)]), seed=0)
         with pytest.raises(PolicyProtocolError):
             run_policy(inst, ScriptedPolicy(["HOLD"]), seed=0)
 
     def test_policy_sees_its_sales(self):
         inst = make_instance()
-        policy = ScriptedPolicy([(5.0, 0.5), (5.0, 0.5)])
+        policy = ScriptedPolicy([([5.0], 0.5), ([5.0], 0.5)])
         trace = run_policy(inst, policy, seed=(0, 1000, 0))
-        # every count is sent back once, the last one too
-        assert policy.seen_sales == [seg.sales for seg in trace.segments]
+        # every pass's counts are sent back once, the last pass's too
+        assert policy.seen_sales == [[seg.sales] for seg in trace.segments]
 
     def test_poisson_moments(self):
         inst = make_instance(n=200)
@@ -158,6 +160,103 @@ class TestRunPolicy:
         ])
         assert abs(counts.mean() - mu) <= 5 * math.sqrt(mu / reps)
         assert abs(counts.var(ddof=1) - mu) <= 5 * math.sqrt((mu + 2 * mu**2) / reps)
+
+
+class TestPasses:
+    """A request is a pass of k prices sharing one duration."""
+
+    def test_pass_runs_its_prices_in_order(self):
+        inst = make_instance(inventory=50.0)
+        policy = ScriptedPolicy([([5.0, 6.0, 7.0], 0.25), ([4.0], 0.25)])
+        trace = run_policy(inst, policy, seed=(2,))
+        rng = fresh_rng((2,))
+        expected = [int(rng.poisson(1000 * rate * 0.25)) for rate in (15.0, 12.0, 9.0, 18.0)]
+        assert trace.segments == (
+            Segment(5.0, 0.0, 0.25, expected[0]),
+            Segment(6.0, 0.25, 0.25, expected[1]),
+            Segment(7.0, 0.5, 0.25, expected[2]),
+            Segment(4.0, 0.75, 0.25, expected[3]),
+        )
+        assert policy.seen_sales == [expected[:3], expected[3:]]
+        assert trace.passes[0] == Pass([5.0, 6.0, 7.0], 0.0, [0.25] * 3, expected[:3])
+
+    def test_stockout_inside_a_pass_is_cut_and_sends_nothing(self):
+        inst = make_instance(inventory=2.0)  # 2000 units against a mean of 3750
+        policy = ScriptedPolicy([([5.0, 6.0, 7.0], 0.25), ([4.0], 0.25)])
+        trace = run_policy(inst, policy, seed=(0, 1000, 0))
+        assert trace.segments == (Segment(5.0, 0.0, 0.25, 2000), Segment(P_INF, 0.25, 0.75, 0))
+        assert trace.passes[0] == Pass([5.0, 6.0, 7.0], 0.0, [0.25], [2000])
+        assert trace.stockout_time == 0.25
+        assert policy.seen_sales == []
+
+    def test_stockout_on_a_pass_last_segment_sends_the_full_list(self):
+        # 9.9 sells at rate 0.3 (mean 75), then 5.0 at mean 3750 empties
+        # the 2000 units; the next pass is discarded
+        inst = make_instance(inventory=2.0)
+        policy = ScriptedPolicy([([9.9, 5.0], 0.25), ([6.0], 0.25)])
+        trace = run_policy(inst, policy, seed=(0, 1000, 0))
+        first = int(fresh_rng((0, 1000, 0)).poisson(1000 * (30.0 - 3.0 * 9.9) * 0.25))
+        assert policy.seen_sales == [[first, 2000 - first]]
+        assert [seg.sales for seg in trace.segments] == [first, 2000 - first, 0]
+        assert trace.segments[-1] == Segment(P_INF, 0.5, 0.5, 0)
+        assert trace.stockout_time == 0.5
+
+    def test_pass_crossing_the_horizon_clamps_its_crossing_segment(self):
+        inst = make_instance(inventory=100.0)
+        policy = ScriptedPolicy([([5.0, 6.0, 7.0, 8.0], 0.4)])
+        trace = run_policy(inst, policy, seed=(4,))
+        crossing = 1.0 - (0.4 + 0.4)
+        rng = fresh_rng((4,))
+        expected = [int(rng.poisson(1000 * rate * d))
+                    for rate, d in ((15.0, 0.4), (12.0, 0.4), (9.0, crossing))]
+        assert trace.segments == (
+            Segment(5.0, 0.0, 0.4, expected[0]),
+            Segment(6.0, 0.4, 0.4, expected[1]),
+            Segment(7.0, 0.8, crossing, expected[2]),
+        )
+        assert policy.seen_sales == []  # the fourth price never ran: a cut pass
+
+    def test_pass_ending_at_the_horizon_is_sent_back(self):
+        inst = make_instance(inventory=100.0)
+        policy = ScriptedPolicy([([5.0, 6.0], 0.5), ([7.0], 0.5)])
+        trace = run_policy(inst, policy, seed=(4,))
+        assert policy.seen_sales == [[seg.sales for seg in trace.segments]]
+        assert len(trace.segments) == 2
+
+    def test_price_inside_the_slack_is_priced_at_the_box_edge(self):
+        class RecordingLinear(LinearDemand):
+            priced = []
+
+            def _rate(self, p):
+                self.priced.append(p)
+                return super()._rate(p)
+
+        model = RecordingLinear(30.0, 3.0)
+        model.priced.clear()  # drop the prices the constructor's checks used
+        inst = ProblemInstance(model, 20.0, 1.0, 1000)
+        prices = [0.1 - 5e-10, 5.0, 10.0 + 5e-10]
+        trace = run_policy(inst, ScriptedPolicy([(prices, 0.25)]), seed=(0,))
+        assert model.priced == [0.1, 5.0, 10.0]
+        assert [seg.price for seg in trace.segments[:3]] == prices
+
+    @pytest.mark.parametrize("request_", [
+        ([5.0, 11.0, 6.0], 0.5),  # off the box in the middle
+        ([11.0, 5.0], 0.5),
+        ([5.0, 6.0, 0.05], 0.5),  # below the floor at the end
+        ([5.0, math.nan, 6.0], 0.5),
+        ([math.nan, 5.0], 0.5),
+        ([5.0, 6.0], -0.5),  # negative duration
+        ([], 0.5),  # empty pass
+        (5.0, 0.5),  # a bare price, not a pass
+        (["five"], 0.5),
+        ([5.0], "soon"),
+        ([5.0], 0.5, 1),
+        "HOLD",
+    ], ids=repr)
+    def test_bad_requests_raise(self, request_):
+        inst = make_instance()
+        with pytest.raises(PolicyProtocolError):
+            run_policy(inst, ScriptedPolicy([([5.0], 0.25), request_]), seed=0)
 
 
 class TestTailCheck:
@@ -292,7 +391,7 @@ class TestTraceCsv:
     def test_format_and_determinism(self, tmp_path):
         inst = make_instance(inventory=2.0)
         traces = [
-            run_policy(inst, ScriptedPolicy([(5.0, 0.5), (6.0, 0.5)]), seed=(0, 1000, r))
+            run_policy(inst, ScriptedPolicy([([5.0], 0.5), ([6.0], 0.5)]), seed=(0, 1000, r))
             for r in range(2)
         ]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -309,10 +408,7 @@ class TestTraceCsv:
 
     def test_revenue_column_accumulates(self, tmp_path):
         trace = SimulationTrace(
-            segments=(
-                Segment(price=2.0, t_start=0.0, duration=0.5, sales=3),
-                Segment(price=4.0, t_start=0.5, duration=0.5, sales=1),
-            ),
+            passes=(Pass(prices=[2.0, 4.0], t_start=0.0, durations=[0.5, 0.5], sales=[3, 1]),),
             terminal_revenue=10.0,
             stockout_time=None,
         )

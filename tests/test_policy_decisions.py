@@ -2,11 +2,12 @@
 
 Each case drives a policy's ``season()`` by hand, drawing sales
 from a local generator instead of the simulator's keyed streams.  The
-emitted (price, duration) sequence then depends only on the policy's
-decisions, so a change to how the simulator draws randomness leaves these
-values alone while any change to a decision breaks them.  The sequences
-are long, so each is pinned by its length, its first and last segments and
-a digest of the repr of every float in it.
+emitted (price, duration) sequence, one entry per price of every pass,
+then depends only on the policy's decisions, so a change to how the
+simulator draws randomness leaves these values alone while any change to
+a decision breaks them.  The sequences are long, so each is pinned by its
+length, its first and last segments and a digest of the repr of every
+float in it.
 """
 
 import hashlib
@@ -29,16 +30,21 @@ N = 10**4
 
 
 def drive(policy, model, seed):
-    """Every segment the policy asks for, answered with Poisson sales."""
+    """Every segment the policy asks for, answered with Poisson sales: each
+    price of a pass gets one draw, in order, and the pass its list."""
     rng = np.random.default_rng(seed)
     season = policy.season()
     segments = []
     request = next(season, None)
     while request is not None:
-        price, duration = float(request[0]), float(request[1])
-        segments.append((price, duration))
+        prices, duration = request
+        sales = []
+        for price in prices:
+            price, duration = float(price), float(duration)
+            segments.append((price, duration))
+            sales.append(int(rng.poisson(N * model.rate(price) * duration)))
         try:
-            request = season.send(int(rng.poisson(N * model.rate(price) * duration)))
+            request = season.send(sales)
         except StopIteration:
             request = None
     return segments

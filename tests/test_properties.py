@@ -1,5 +1,6 @@
 """Simulator and policy invariants on random instances, policies and seeds."""
 
+import copy
 import math
 
 import pytest
@@ -15,7 +16,13 @@ from dynpricing.demand import (
     ProblemInstance,
     WorstCaseLinear,
 )
-from dynpricing.market_sim import run_policy
+from dynpricing.market_sim import (
+    _PRICE_SLACK,
+    _T_EPS,
+    Segment,
+    run_policy,
+    season_rng,
+)
 from dynpricing.policies import PolicyConfig, make_policy
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -69,7 +76,8 @@ def seasons():
 
 
 class CountRecorder:
-    """Forwards a policy's season and records every count sent into it."""
+    """Forwards a policy's season and records every list of counts sent
+    into it."""
 
     def __init__(self, policy):
         self.policy = policy
@@ -85,6 +93,90 @@ class CountRecorder:
                 request = inner.send(sales)
             except StopIteration:
                 request = None
+
+
+class OnePricePerRequest:
+    """Splits each of a policy's passes into one-price requests for the
+    reference simulator, and sends the pass its counts once all ran."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def season(self):
+        inner = self.policy.season()
+        request = next(inner, None)
+        while request is not None:
+            prices, duration = request
+            sales = []
+            for price in prices:
+                sales.append((yield (price, duration)))
+            try:
+                request = inner.send(sales)
+            except StopIteration:
+                request = None
+
+
+def reference_season(instance, policy, seed):
+    """A per-segment simulator, the oracle ``run_policy`` must match: one
+    (price, duration) request per segment, each count sent back right after
+    its segment.  Returns (segments, revenue, stockout time)."""
+    model = instance.demand
+    T = instance.horizon
+    n = instance.market_size
+    open_until = T - _T_EPS
+    lowest = model.price_floor - _PRICE_SLACK
+    highest = model.price_ceil + _PRICE_SLACK
+    rng = season_rng(seed)
+    stock = instance.scaled_inventory
+    clock = 0.0
+    revenue = 0.0
+    segments = []
+    stockout_time = None
+    season = policy.season()
+    request = next(season, None) if stock and clock < open_until else None
+    while request is not None:
+        price, duration = request
+        if price is not P_INF:
+            price = float(price)
+            assert lowest <= price <= highest
+        duration = float(duration)
+        assert duration >= -_T_EPS
+        duration = min(max(0.0, duration), T - clock)
+        mean = n * model.rate(price) * duration
+        if mean > 0:
+            sales = min(int(rng.poisson(mean)), stock)
+            stock -= sales
+        else:
+            sales = 0
+        if price is not P_INF:
+            revenue += price * sales
+        segments.append(Segment(price, clock, duration, sales))
+        clock += duration
+        if not stock:
+            stockout_time = clock
+        try:
+            request = season.send(sales)
+        except StopIteration:
+            break
+        if not stock or clock >= open_until:
+            break
+    if clock < open_until:
+        segments.append(Segment(P_INF, clock, T - clock, 0))
+    return tuple(segments), revenue, stockout_time
+
+
+POLICY_STATE = ("iterations", "entered_step3", "applied_price", "truncated_learning", "_t")
+
+
+def policy_state(policy):
+    return tuple(getattr(policy, name, None) for name in POLICY_STATE)
+
+
+def full_pass_sales(trace):
+    """Counts of every pass the policy posted that ran in full.  No policy
+    posts the shut-off price, so a pass holding it is the simulator's tail."""
+    return [p.sales for p in trace.passes
+            if P_INF not in p.prices and len(p.sales) == len(p.prices)]
 
 
 @PROPERTY_SETTINGS
@@ -128,9 +220,26 @@ def test_prices_in_box_or_shut_off(season):
 @PROPERTY_SETTINGS
 @given(season_setups())
 def test_every_count_is_sent_back_once_in_order(setup):
-    # no policy posts the shut-off price, so the shut-off segments are the
-    # tail the simulator closes the season with
+    # every pass that ran in full gets its counts, in order; the shut-off
+    # tail is the simulator's, and a cut pass is the season's last
     instance, policy, seed = setup
     recorder = CountRecorder(policy)
     trace = run_policy(instance, recorder, seed=seed)
-    assert recorder.counts == [seg.sales for seg in trace.segments if seg.price is not P_INF]
+    posted = [p for p in trace.passes if P_INF not in p.prices]
+    assert all(len(p.sales) == len(p.prices) for p in posted[:-1])
+    assert recorder.counts == full_pass_sales(trace)
+
+
+@PROPERTY_SETTINGS
+@given(season_setups())
+def test_passes_match_the_per_segment_reference(setup):
+    instance, policy, seed = setup
+    twin = copy.deepcopy(policy)
+    recorder = CountRecorder(policy)
+    trace = run_policy(instance, recorder, seed=seed)
+    segments, revenue, stockout_time = reference_season(instance, OnePricePerRequest(twin), seed)
+    assert trace.segments == segments
+    assert trace.terminal_revenue == revenue
+    assert trace.stockout_time == stockout_time
+    assert policy_state(policy) == policy_state(twin)
+    assert recorder.counts == full_pass_sales(trace)
