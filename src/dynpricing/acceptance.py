@@ -335,8 +335,3 @@ def run_all(seed: int = 0, workers: int = 1, stream=None):
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed", file=stream)
     return results
-
-
-if __name__ == "__main__":
-    outcome = run_all()
-    sys.exit(0 if all(r.passed for r in outcome) else 1)

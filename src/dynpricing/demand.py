@@ -7,8 +7,10 @@ to an arrival rate lambda(p) of a unit-demand Poisson stream, per unit of
 market size.  Prices keep user units throughout; nothing here knows about
 market scaling beyond the final benchmark value.
 
-The shut-off price is the symbolic object ``P_INF`` rather than a float:
-it is feasible for every model and carries rate 0.
+The shut-off price is the symbolic object ``P_INF`` rather than a float.
+It is not a price of any model: the simulator writes it for the tail of a
+season after a stock-out or an early policy stop, where nothing sells, and
+no rate is ever asked of it.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class DemandModel(ABC):
         """Rate at an in-domain numeric price."""
 
     def rate(self, p) -> float:
-        if p is P_INF:
-            return 0.0
         p = float(p)
         if not (self.price_floor - _PRICE_TOL <= p <= self.price_ceil + _PRICE_TOL):
             raise PriceDomainError(
@@ -74,9 +74,7 @@ class DemandModel(ABC):
         return ((self.price_floor, self.price_ceil),)
 
     def revenue(self, p) -> float:
-        """Instantaneous revenue rate p * lambda(p); 0 at the shut-off price."""
-        if p is P_INF:
-            return 0.0
+        """Instantaneous revenue rate p * lambda(p)."""
         return float(p) * self.rate(p)
 
     def _check_decreasing(self):

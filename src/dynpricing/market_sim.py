@@ -2,14 +2,16 @@
 
 A simulation runs one selling season.  A policy is any object whose
 ``season()`` returns a generator of (prices, duration) passes: k >= 1
-prices, each posted for ``duration`` in order.  ``run_policy`` sends the
-list of k sales counts back into it once the whole pass has run; a pass
-that a stock-out or the season end cuts short is the season's last and is
-not sent back.  The simulator keeps the clock, the inventory, the revenue
-and the random stream.  Once inventory hits zero, or the generator stops
-early, the remainder of the season is priced at the shut-off price
-``P_INF`` with no further policy involvement.  A trace keeps one record
-per pass and builds its per-segment view only when read.
+prices inside the model's price interval, each posted for ``duration`` in
+order.  ``run_policy`` sends the list of k sales counts back into it once
+the whole pass has run; a pass that a stock-out or the season end cuts
+short is the season's last and is not sent back.  The simulator keeps the
+clock, the inventory, the revenue and the random stream.  Once inventory
+hits zero, or the generator stops early, the remainder of the season is
+priced at the shut-off price ``P_INF`` with no further policy involvement.
+That tail is the simulator's alone: a pass holds in-box prices only.  A
+trace keeps one record per pass and builds its per-segment view only when
+read.
 
 Randomness: each season carries a key K of 1 to 4 words, each in
 [0, 2^64); the sweeps use (seed, n, rep).  Zero-padded to (K0, K1, K2,
@@ -39,11 +41,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import P_INF, ProblemInstance
+from .demand import _PRICE_TOL, P_INF, ProblemInstance
 from .errors import PolicyProtocolError
 
 _T_EPS = 1e-12
-_PRICE_SLACK = 1e-9
 _KEY_WORDS = 4
 
 
@@ -125,9 +126,11 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     ``policy.season()`` must return a generator of (prices, duration)
     passes (see the module docstring).  A pass whose last price ends the
     season is sent back, and whatever the policy yields next is discarded.
-    Prices must lie in the model's interval or be ``P_INF``; the segment
-    that crosses the season end is clamped to it.  Identical (instance,
-    policy behavior, seed) triples reproduce the trace exactly.
+    Prices must lie in the model's interval, up to the slack that
+    ``DemandModel.rate`` allows; ``P_INF`` is not a price a policy may
+    post.  The segment that crosses the season end is clamped to it.
+    Identical (instance, policy behavior, seed) triples reproduce the trace
+    exactly.
     """
     model = instance.demand
     rate = model._rate
@@ -135,7 +138,7 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     T = instance.horizon
     n = instance.market_size
     open_until = T - _T_EPS
-    lowest, highest = floor - _PRICE_SLACK, ceil + _PRICE_SLACK
+    lowest, highest = floor - _PRICE_TOL, ceil + _PRICE_TOL
     poisson = season_rng(seed).poisson
     stock = instance.scaled_inventory
     clock = 0.0
@@ -148,29 +151,25 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     while request is not None:
         try:
             prices, duration = request
-            prices = [p if p is P_INF else float(p) for p in prices]
+            prices = [float(p) for p in prices]
             duration = float(duration)
+            lo, hi = min(prices), max(prices)
         except (TypeError, ValueError):
             raise PolicyProtocolError(f"bad pass request {request!r}") from None
-        posted = [p for p in prices if p is not P_INF]
-        lo, hi = (min(posted), max(posted)) if posted else (floor, ceil)
         # min and max pass over a NaN that does not come first; the sum does not
-        if not prices or not lowest <= lo <= hi <= highest or math.isnan(sum(posted)):
-            raise PolicyProtocolError(f"policy posted an empty or infeasible pass {prices!r}")
+        if not lowest <= lo <= hi <= highest or math.isnan(sum(prices)):
+            raise PolicyProtocolError(f"policy posted an infeasible pass {prices!r}")
         if duration < -_T_EPS:
             raise PolicyProtocolError(f"policy emitted negative duration {duration!r}")
         # a rounding-sized negative duration advances the clock by 0, and the
         # trace records what the clock advanced by
         duration = max(0.0, duration)
-        # a price inside the slack sells at the box edge, the shut-off price not at all
-        clamp = lo < floor or hi > ceil
-        rates = [0.0 if p is P_INF else n * rate(min(max(p, floor), ceil) if clamp else p)
-                 for p in prices]
+        clamp = lo < floor or hi > ceil  # a price inside the slack sells at the box edge
         start, durations, sales = clock, [], []
-        for price, n_rate in zip(prices, rates):
+        for price in prices:
             rest = T - clock
             step = rest if rest < duration else duration  # clamped at season end
-            mean = n_rate * step
+            mean = n * rate(min(max(price, floor), ceil) if clamp else price) * step
             # zero-mean segments draw nothing, and neither do negative rates
             if mean > 0:
                 count = min(int(poisson(mean)), stock)
@@ -227,7 +226,7 @@ def write_trace_csv(path, traces, header_lines=()) -> None:
     """Write traces as delimited text: one row per segment.
 
     Columns: rep_id, seg_index, price, t_start, duration, sales,
-    revenue_cum.  The shut-off price is written as the token ``p_inf``.
+    revenue_cum.  The shut-off tail's price is written as ``p_inf``.
     Floats use shortest round-trip formatting, so identical traces yield
     identical bytes.
     """

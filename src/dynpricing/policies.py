@@ -3,7 +3,9 @@
 Every policy's ``season()`` is a generator of (prices, duration) passes
 that receives, through ``send``, the sales counts of each pass that ran
 in full; a cut pass ends the season (see ``market_sim.run_policy``).  A
-policy object runs one season.  The clairvoyant baseline is
+pass is a plain list of prices inside the price box; no policy posts the
+shut-off price, which only the simulator writes.  A policy object runs
+one season.  The clairvoyant baseline is
 ``FixedPricePolicy`` at the deterministic price p_D.  The learning
 policies follow the shrinking-interval scheme: test a price grid, one
 pass, on the current interval, estimate the demand rate at each grid
@@ -38,13 +40,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .demand import ProblemInstance, deterministic_price
 from .errors import ConfigError
+from .market_sim import _T_EPS
 from .schedules import TrackSchedule, build_kink_schedule, build_schedule
-
-_T_EPS = 1e-12
 
 POLICY_NAMES = ("dpa", "dpa2", "clairvoyant", "single_phase", "fixed")
 
@@ -58,12 +57,14 @@ def _grid_pass(prices, delta, n, target, t):
     the one whose rate estimate is nearest ``target``, and the clock after
     the pass, advanced by ``delta`` per price.
     """
-    sales = yield (prices.tolist(), delta)
-    d_hat = np.array(sales, dtype=float) / (n * delta)
+    sales = yield (prices, delta)
+    unit = n * delta
+    estimates = [(price, count / unit) for price, count in zip(prices, sales)]
     for _ in sales:
         t += delta
-    p_u = float(prices[int(np.argmax(prices * d_hat))])
-    p_c = float(prices[int(np.argmin(np.abs(d_hat - target)))])
+    # on ties max and min keep the first, the lowest price
+    p_u = max(estimates, key=lambda e: e[0] * e[1])[0]
+    p_c = min(estimates, key=lambda e: abs(e[1] - target))[0]
     return p_u, p_c, t
 
 
@@ -102,8 +103,11 @@ class SinglePhaseGridPolicy:
         inst = self.instance
         model = inst.demand
         n, T = inst.market_size, inst.horizon
+        floor, ceil = model.price_floor, model.price_ceil
         grid_size = int(math.ceil(n**0.25))
-        grid = np.linspace(model.price_floor, model.price_ceil, grid_size)
+        # the even grid as numpy.linspace computes it, ending exactly at ceil
+        step = (ceil - floor) / (grid_size - 1)
+        grid = [floor + j * step for j in range(grid_size - 1)] + [ceil]
         delta = n ** (-0.25) * T / grid_size
         p_u, p_c, t = yield from _grid_pass(grid, delta, n, inst.inventory / T, 0.0)
         self.applied_price = max(p_u, p_c)
@@ -168,7 +172,7 @@ class _IntervalLearner:
             self.iterations.append((track, i, lo, hi, None, None))
             # grid pass: kappa left-endpoint prices for tau / kappa each
             p_u, p_c, self._t = yield from _grid_pass(
-                lo + step * np.arange(kappa), tau / kappa, n, self.target, self._t
+                [lo + step * j for j in range(kappa)], tau / kappa, n, self.target, self._t
             )
             self.iterations[-1] = (track, i, lo, hi, p_u, p_c)
             estimate = center(p_u, p_c)

@@ -25,9 +25,13 @@ EXP = ExponentialDemand(80.0, 0.5)
 
 
 class TestRateInterface:
-    def test_shutoff_price_sells_nothing(self):
-        assert LIN.rate(P_INF) == 0.0
-        assert LIN.revenue(P_INF) == 0.0
+    def test_shutoff_price_is_not_a_price(self):
+        # only the simulator writes P_INF, for a season's tail; no rate is
+        # asked of it
+        with pytest.raises(TypeError):
+            LIN.rate(P_INF)
+        with pytest.raises(TypeError):
+            LIN.revenue(P_INF)
 
     def test_out_of_interval_price_rejected(self):
         with pytest.raises(PriceDomainError):

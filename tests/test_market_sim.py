@@ -49,10 +49,10 @@ class TestSegmentDraws:
     """Single segments as ``run_policy`` draws them."""
 
     def test_zero_mean_consumes_no_randomness(self):
-        # the shut-off price and a zero duration draw nothing, so the next
-        # segment's sales are the fresh stream's first Poisson draw
+        # the ceiling price (rate 0) and a zero duration draw nothing, so the
+        # next segment's sales are the fresh stream's first Poisson draw
         inst = make_instance()
-        policy = ScriptedPolicy([([P_INF], 0.5), ([5.0], 0.0), ([5.0], 0.5)])
+        policy = ScriptedPolicy([([10.0], 0.5), ([5.0], 0.0), ([5.0], 0.5)])
         trace = run_policy(inst, policy, seed=(0,))
         first = int(fresh_rng((0,)).poisson(1000 * 15.0 * 0.5))
         assert [seg.sales for seg in trace.segments] == [0, 0, first]
@@ -247,6 +247,8 @@ class TestPasses:
         ([math.nan, 5.0], 0.5),
         ([5.0, 6.0], -0.5),  # negative duration
         ([], 0.5),  # empty pass
+        ([P_INF], 0.5),  # the shut-off price is the simulator's, not a policy's
+        ([5.0, P_INF], 0.5),
         (5.0, 0.5),  # a bare price, not a pass
         (["five"], 0.5),
         ([5.0], "soon"),
@@ -379,12 +381,24 @@ class TestSegmentStreams:
         assert reused == seasons()
 
     def test_import_does_not_load_numpy_random(self):
-        # the generator is built on the first season, so set-up stays cheap
-        src = os.path.dirname(os.path.dirname(market_sim.__file__))
-        code = "import sys, dynpricing; print('numpy.random' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out.strip() == "False"
+        # the generator is built on the first season, so set-up stays cheap;
+        # the command line module imports every module a season needs
+        assert fresh_import("dynpricing.cli", "'numpy.random' in sys.modules") == "False"
+
+    def test_package_import_loads_no_submodule(self):
+        # the package is used through its submodules and re-exports nothing
+        loaded = "[m for m in sys.modules if m.startswith(('dynpricing.', 'numpy'))]"
+        assert fresh_import("dynpricing", loaded) == "[]"
+
+
+def fresh_import(module, expression):
+    """What ``expression`` prints after importing ``module`` in a fresh
+    interpreter."""
+    src = os.path.dirname(os.path.dirname(market_sim.__file__))
+    code = f"import sys, {module}; print({expression})"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    return out.strip()
 
 
 class TestTraceCsv:

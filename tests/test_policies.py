@@ -14,7 +14,7 @@ from dynpricing.demand import (
     deterministic_price,
 )
 from dynpricing.errors import ConfigError
-from dynpricing.market_sim import P_INF, run_policy
+from dynpricing.market_sim import run_policy
 from dynpricing.policies import (
     DpaPolicy,
     FixedPricePolicy,
@@ -90,6 +90,42 @@ class TestBaselines:
         with pytest.raises(ValueError, match="n >= 2"):
             SinglePhaseGridPolicy(lin_instance(1))
         SinglePhaseGridPolicy(lin_instance(2))
+
+
+def first_pass(policy):
+    """The prices of ``policy``'s first grid pass."""
+    prices, _ = next(policy.season())
+    return prices
+
+
+BOXES = [(0.1, 10.0), (2.0, 5.0), (0.5, 1.5), (0.3, 0.7), (1.7, 1234.5)]
+
+
+def box_instance(floor, ceil, n):
+    return ProblemInstance(LinearDemand(ceil + 1.0, 1.0, floor, ceil), 1.0, 1.0, n)
+
+
+class TestGridPrices:
+    """First grid passes bit for bit against numpy, which builds the same
+    grids from the same arithmetic."""
+
+    @pytest.mark.parametrize("floor, ceil", BOXES)
+    @pytest.mark.parametrize("n", [2, 17, 625, 10**4, 123457, 10**6, 4 * 10**7])
+    def test_single_phase_grid_is_linspace(self, floor, ceil, n):
+        prices = first_pass(SinglePhaseGridPolicy(box_instance(floor, ceil, n)))
+        assert len(prices) == math.ceil(n**0.25)  # 2 to 80 prices
+        assert all(type(p) is float for p in prices)
+        assert prices == np.linspace(floor, ceil, len(prices)).tolist()
+
+    @pytest.mark.parametrize("floor, ceil", BOXES)
+    @pytest.mark.parametrize("n", [2, 17, 100, 10**4, 123457, 10**6, 10**7])
+    def test_track_grid_is_left_endpoints(self, floor, ceil, n):
+        policy = DpaPolicy(box_instance(floor, ceil, n))
+        prices = first_pass(policy)
+        kappa = policy.schedule[0].kappa[0]  # 2 to 83 prices
+        step = (ceil - floor) / kappa
+        assert all(type(p) is float for p in prices)
+        assert prices == (floor + step * np.arange(kappa)).tolist()
 
 
 class TestDpaStructure:

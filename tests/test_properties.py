@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynpricing.demand import (
+    _PRICE_TOL as _PRICE_SLACK,
     P_INF,
     ExponentialDemand,
     LinearDemand,
@@ -17,7 +18,6 @@ from dynpricing.demand import (
     WorstCaseLinear,
 )
 from dynpricing.market_sim import (
-    _PRICE_SLACK,
     _T_EPS,
     Segment,
     run_policy,
