@@ -39,9 +39,9 @@ from .demand import (
     deterministic_value,
     solve_pu,
 )
-from .market_sim import poisson_tail_check, run_policy
-from .policies import DpaPolicy, FixedPricePolicy, KinkPolicy, PolicyConfig, make_policy
-from .regret_harness import estimate_regret, sweep
+from .market_sim import poisson_tail_check
+from .policies import PolicyConfig
+from .regret_harness import estimate_regret, seasons, sweep
 from .lower_bound import (
     Z0,
     evaluate_policy_bounds,
@@ -157,9 +157,7 @@ def _interval_stats(model, n, runs, seed):
     instance = ProblemInstance(model, BENCH_X, BENCH_T, n)
     pd = deterministic_price(model, BENCH_X, BENCH_T)
     contained = entered = 0
-    for rep in range(runs):
-        policy = DpaPolicy(instance)
-        run_policy(instance, policy, seed=(seed, n, rep))
+    for policy, _ in seasons(instance, PolicyConfig("dpa"), seed, range(runs)):
         contained += all(
             lo - 1e-12 <= pd <= hi + 1e-12
             for _, _, lo, hi, _, _ in policy.iterations
@@ -205,11 +203,11 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
     # a season as long as the one segment under test: its first and only
     # draw is the segment's count, from the stream of key (seed, n, rep)
     instance = ProblemInstance(LINEAR, BENCH_X, duration, n)
-    policy = FixedPricePolicy(instance, price)
     mu = n * LINEAR.rate(price) * duration
-    counts = np.empty(reps)
-    for rep in range(reps):
-        counts[rep] = run_policy(instance, policy, (seed, n, rep)).passes[0].sales[0]
+    counts = np.array([
+        trace.passes[0].sales[0] for _, trace in
+        seasons(instance, PolicyConfig("fixed", price=price), seed, range(reps))
+    ], dtype=float)
     mean_band = 4.0 * math.sqrt(mu / reps)
     var_band = 4.0 * math.sqrt((mu + 2.0 * mu**2) / reps)
     mean_ok = abs(counts.mean() - mu) <= mean_band
@@ -231,9 +229,7 @@ def criterion_7(seed: int, workers: int) -> CriterionResult:
     n = 10**4
     reps = 1000
     inst0 = worst_case_instance(Z0, n)
-    flat = run_policy(
-        inst0, make_policy(PolicyConfig("fixed", price=1.0), inst0), seed=(seed, n, 0)
-    )
+    _, flat = next(seasons(inst0, PolicyConfig("fixed", price=1.0), seed, [0]))
     kl_zero = kl_path(flat, n, Z0, 2.0 / 3.0)
     solver_err = pD_matches_solver()
     ok = kl_zero == 0.0 and solver_err <= 1e-8
@@ -292,14 +288,11 @@ def criterion_9(seed: int, workers: int) -> CriterionResult:
     for n in (10**3, 10**5):
         instance = ProblemInstance(KINKED, KINKED_X, BENCH_T, n)
         jd = deterministic_value(KINKED, KINKED_X, BENCH_T, n)
-        hits = 0
-        regrets = np.empty(runs)
-        for rep in range(runs):
-            policy = KinkPolicy(instance)
-            trace = run_policy(instance, policy, seed=(seed, n, rep))
+        hits, regrets = 0, []
+        for policy, trace in seasons(instance, PolicyConfig("dpa2"), seed, range(runs)):
             hits += abs(policy.applied_price - kink) <= 0.05
-            regrets[rep] = 1.0 - trace.terminal_revenue / jd
-        stats[n] = (hits / runs, regrets.mean())
+            regrets.append(1.0 - trace.terminal_revenue / jd)
+        stats[n] = (hits / runs, np.mean(regrets))
     hit_rate = stats[10**5][0]
     ratio = stats[10**3][1] / stats[10**5][1]
     ok = hit_rate >= 0.90 and ratio >= 3.0

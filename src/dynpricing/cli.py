@@ -28,6 +28,7 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
+import os
 import sys
 from dataclasses import dataclass
 
@@ -46,11 +47,12 @@ from .demand import (
     solve_pu,
 )
 from .errors import ConfigError
-from .market_sim import run_policy, write_trace_csv
+from .market_sim import write_trace_csv
 from .policies import POLICY_NAMES, PolicyConfig, make_policy
 from .regret_harness import (
     check_revenue_bound,
     csv_meta,
+    seasons,
     sweep,
     write_regret_csv,
     write_slope_csv,
@@ -251,8 +253,8 @@ def cmd_run(config: ExperimentConfig, stdout) -> int:
     (n,) = config.n_values
     instance = build_instance(config, n)
     pol_config = build_policy_config(config)
-    traces = [run_policy(instance, make_policy(pol_config, instance), seed=(config.seed, n, rep))
-              for rep in range(config.replications)]
+    traces = [trace for _, trace in
+              seasons(instance, pol_config, config.seed, range(config.replications))]
     jd = deterministic_value(instance.demand, config.inventory, config.horizon, n)
     mean_rev = sum(t.terminal_revenue for t in traces) / len(traces)
     print(
@@ -301,8 +303,8 @@ def cmd_sweep(config: ExperimentConfig, stdout) -> int:
 
 
 def _slope_path(out: str) -> str:
-    stem, dot, ext = out.rpartition(".")
-    return f"{stem}.slopes.{ext}" if dot else f"{out}.slopes"
+    stem, ext = os.path.splitext(out)
+    return f"{stem}.slopes{ext}"
 
 
 def cmd_lowerbound(config: ExperimentConfig, stdout) -> int:
@@ -428,6 +430,13 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError("sweep needs at least 3 distinct market sizes")
     if command in ONE_SIZE_COMMANDS and len(config.n_values) > 1:
         raise ConfigError(f"{command} takes one market size, got {len(config.n_values)}")
+    # sweep's slope CSV goes next to --out, so one check covers both files
+    if config.out is not None and command in ("run", "sweep", "lowerbound"):
+        folder = os.path.dirname(config.out) or "."
+        if os.path.isdir(config.out):
+            raise ConfigError(f"--out {config.out!r} is a directory")
+        if not os.path.isdir(folder):
+            raise ConfigError(f"--out {config.out!r}: no directory {folder!r}")
     if command == "check":
         return
     try:

@@ -6,11 +6,6 @@ the lower bound.  Each maps a posted price p in [price_floor, price_ceil]
 to an arrival rate lambda(p) of a unit-demand Poisson stream, per unit of
 market size.  Prices keep user units throughout; nothing here knows about
 market scaling beyond the final benchmark value.
-
-The shut-off price is the symbolic object ``P_INF`` rather than a float.
-It is not a price of any model: the simulator writes it for the tail of a
-season after a stock-out or an early policy stop, where nothing sells, and
-no rate is ever asked of it.
 """
 
 from __future__ import annotations
@@ -27,27 +22,6 @@ from .errors import PriceDomainError
 _PRICE_TOL = 1e-9
 _SOLVER_TOL = 1e-10
 _SOLVER_MAX_ITER = 200
-
-
-class _ShutoffPrice:
-    """Symbolic price at which demand is switched off entirely."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "P_INF"
-
-    def __reduce__(self):
-        # keep the singleton property across pickling
-        return (_ShutoffPrice, ())
-
-
-P_INF = _ShutoffPrice()
 
 
 class DemandModel(ABC):

@@ -2,11 +2,11 @@
 
 
 class PriceDomainError(ValueError):
-    """A price (or duration) fell outside the feasible domain."""
+    """A price fell outside the feasible domain."""
 
 
 class PolicyProtocolError(RuntimeError):
-    """A policy violated the segment-request contract."""
+    """A policy violated the pass protocol."""
 
 
 class UndefinedRegretError(ValueError):

@@ -28,9 +28,9 @@ import numpy as np
 
 from .demand import ProblemInstance, WorstCaseLinear, solve_pu
 from .errors import PriceDomainError
-from .market_sim import P_INF, SimulationTrace, run_policy
-from .policies import PolicyConfig, make_policy
-from .regret_harness import _write_csv
+from .market_sim import P_INF, SimulationTrace
+from .policies import PolicyConfig
+from .regret_harness import _write_csv, seasons
 
 Z0 = 0.5
 WC_INVENTORY = 2.0
@@ -71,7 +71,7 @@ def kl_path(trace: SimulationTrace, n: int, z0: float, z: float) -> float:
     total = 0.0
     for pass_ in trace.passes:
         for price, duration in zip(pass_.prices, pass_.durations):
-            if price is P_INF or duration <= 0.0:
+            if price == P_INF or duration <= 0.0:
                 continue
             lam0 = _rate(price, z0)
             lamz = _rate(price, z)
@@ -140,11 +140,12 @@ def evaluate_policy_bounds(
                 for inst, p in ((inst0, pD_of_z(Z0)), (inst1, pD_of_z(z1))))
 
     kls, revs0, revs1 = [], [], []
-    for rep in range(replications):
-        trace0 = run_policy(inst0, make_policy(config, inst0), seed=(seed, n, rep))
+    reps = range(replications)
+    for (_, trace0), (_, trace1) in zip(
+        seasons(inst0, config, seed, reps), seasons(inst1, config, seed, reps)
+    ):
         kls.append(kl_path(trace0, n, Z0, z1))
         revs0.append(trace0.terminal_revenue)
-        trace1 = run_policy(inst1, make_policy(config, inst1), seed=(seed, n, rep))
         revs1.append(trace1.terminal_revenue)
 
     K_hat, K_se = _mean_se(kls)

@@ -8,16 +8,17 @@ the whole pass has run; a pass that a stock-out or the season end cuts
 short is the season's last and is not sent back.  The simulator keeps the
 clock, the inventory, the revenue and the random stream.  Once inventory
 hits zero, or the generator stops early, the remainder of the season is
-priced at the shut-off price ``P_INF`` with no further policy involvement.
-That tail is the simulator's alone: a pass holds in-box prices only.  A
-trace keeps one record per pass and builds its per-segment view only when
-read.
+priced at the shut-off price ``P_INF`` (``math.inf``) with no further
+policy involvement.  That tail is the simulator's alone: a pass holds
+in-box prices only.  A trace keeps one record per pass and builds its
+per-segment view only when read.
 
 Randomness: each season carries a key K of 1 to 4 words, each in
-[0, 2^64); the sweeps use (seed, n, rep).  Zero-padded to (K0, K1, K2,
-K3), it keys one counter-based stream (Salmon et al., "Parallel Random
-Numbers: As Easy as 1, 2, 3", SC'11): Philox4x64 with key (K0, K1) and
-a counter starting at (0, 0, K2, K3), that is
+[0, 2^64); ``regret_harness.seasons`` keys every replicated season
+(seed, n, rep).  Zero-padded to (K0, K1, K2, K3), it keys one
+counter-based stream (Salmon et al., "Parallel Random Numbers: As Easy as
+1, 2, 3", SC'11): Philox4x64 with key (K0, K1) and a counter starting at
+(0, 0, K2, K3), that is
 ``Generator(Philox(key=K0 + 2**64 * K1, counter=2**128 * K2 + 2**192 * K3))``.
 The season draws its segments' sales from it in order, so within a season
 a draw depends on the draws before it; zero-mean segments draw nothing.
@@ -41,9 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .demand import _PRICE_TOL, P_INF, ProblemInstance
+from .demand import _PRICE_TOL, ProblemInstance
 from .errors import PolicyProtocolError
 
+P_INF = math.inf  # the shut-off price; fails every price box check
 _T_EPS = 1e-12
 _KEY_WORDS = 4
 
@@ -85,7 +87,7 @@ def season_rng(entropy) -> np.random.Generator:
 
 
 class Segment(NamedTuple):
-    price: object  # float or P_INF
+    price: float  # P_INF in the shut-off tail
     t_start: float
     duration: float
     sales: int
@@ -235,7 +237,7 @@ def write_trace_csv(path, traces, header_lines=()) -> None:
     for rep_id, trace in enumerate(traces):
         revenue = 0.0
         for k, seg in enumerate(trace.segments):
-            if seg.price is P_INF:
+            if seg.price == P_INF:
                 price_txt = "p_inf"
             else:
                 price_txt = repr(seg.price)

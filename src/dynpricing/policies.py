@@ -146,7 +146,7 @@ class _IntervalLearner:
         margin: float = math.inf,
         estimate: float | None = None,
     ):
-        """Run one learning track on [lo, hi]; a generator of segments.
+        """Run one learning track on [lo, hi]; a generator of passes.
 
         Each iteration tests a grid, estimates p_u and p_c, and shrinks the
         interval to [c - left * step, c + right * step] around

@@ -4,9 +4,11 @@ Regret of a policy is 1 - (mean realized revenue) / (deterministic optimum).
 The deterministic optimum is an upper bound on every policy's expected
 revenue, so regret estimates are non-negative up to Monte Carlo noise.
 
-Replication cells are keyed by (root seed, market size, rep index), so two
+Every replicated season in the package runs through ``seasons``, the one
+place a season's key (root seed, market size, rep index) is formed.  Two
 policies swept with the same root seed face identical demand randomness
-cell for cell, and rerunning any sweep reproduces every cell bit for bit.
+season for season, and rerunning any sweep reproduces every season bit
+for bit.
 """
 
 from __future__ import annotations
@@ -43,11 +45,21 @@ class RegretReport:
     warnings: tuple[str, ...] = ()
 
 
-def _simulate_cell(args):
-    instance, config, root_seed, rep = args
-    policy = make_policy(config, instance)
-    trace = run_policy(instance, policy, seed=(root_seed, instance.market_size, rep))
-    return trace.terminal_revenue
+_BLOCK = 64  # reps per pool task; no season's key depends on it
+
+
+def seasons(instance: ProblemInstance, config: PolicyConfig, seed: int, reps):
+    """Yield (policy, trace) for each rep index in ``reps``: a fresh
+    policy, run on the stream of key (seed, n, rep)."""
+    n = instance.market_size
+    for rep in reps:
+        policy = make_policy(config, instance)
+        yield policy, run_policy(instance, policy, seed=(seed, n, rep))
+
+
+def _revenues(block):
+    instance, config, seed, reps = block
+    return [trace.terminal_revenue for _, trace in seasons(instance, config, seed, reps)]
 
 
 def estimate_regret(
@@ -64,15 +76,14 @@ def estimate_regret(
     jd = deterministic_value(instance.demand, instance.inventory, instance.horizon, n)
     if jd <= 0.0:
         raise UndefinedRegretError(f"deterministic optimum is {jd}; regret is undefined")
-    cells = [(instance, config, seed, rep) for rep in range(replications)]
+    blocks = [(instance, config, seed, range(replications)[i:i + _BLOCK])
+              for i in range(0, replications, _BLOCK)]
     workers = min(workers, os.cpu_count() or 1)  # a pool forks every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            revenues = np.fromiter(
-                pool.map(_simulate_cell, cells, chunksize=64), dtype=float
-            )
+            revenues = np.concatenate(list(pool.map(_revenues, blocks)))
     else:
-        revenues = np.fromiter(map(_simulate_cell, cells), dtype=float)
+        revenues = np.concatenate(list(map(_revenues, blocks)))
     mean_rev = float(revenues.mean())
     se_rev = float(revenues.std(ddof=1) / math.sqrt(replications))
     return RegretPoint(

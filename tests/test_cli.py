@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from dynpricing import cli, lower_bound, regret_harness
+from dynpricing import cli, regret_harness
 from dynpricing.cli import (
     DEFAULT_N_VALUES,
     ExperimentConfig,
@@ -183,6 +183,18 @@ BAD_INPUTS = {
     "infinite slope": (["solve", "--demand", "linear 30 inf"], None),
     "seed 2^64": (["run", "--n", "100", "--reps", "5", "--seed", "18446744073709551616"], None),
     "n 2^64": (["run", "--n", "18446744073709551616"], None),
+    # the test runs in an empty directory
+    "run out is a directory": (["run", "--n", "100", "--reps", "5", "--out", "."], None),
+    "run out in missing directory": (["run", "--n", "100", "--reps", "5", "--out", "no/t.csv"],
+                                     None),
+    "sweep out is a directory": (["sweep", "--n", "100 1000 10000", "--reps", "5", "--out", "."],
+                                 None),
+    "sweep out in missing directory": (["sweep", "--n", "100 1000 10000", "--reps", "5"],
+                                       "[experiment]\nout = no/s.csv\n"),
+    "lowerbound out is a directory": (["lowerbound", "--n", "1000", "--reps", "5", "--out", "."],
+                                      None),
+    "lowerbound out in missing directory": (["lowerbound", "--n", "1000", "--reps", "5",
+                                             "--out", "no/b.csv"], None),
 }
 
 
@@ -211,8 +223,7 @@ class TestBoundary:
         def simulate(*args, **kwargs):
             raise AssertionError("a season was simulated")
 
-        for module in (cli, regret_harness, lower_bound):
-            monkeypatch.setattr(module, "run_policy", simulate)
+        monkeypatch.setattr(regret_harness, "run_policy", simulate)  # every season runs there
         monkeypatch.chdir(tmp_path)
         if text is not None:
             (tmp_path / "exp.ini").write_text(text)
@@ -277,6 +288,14 @@ class TestCommands:
         slopes1 = tmp_path / "a.slopes.csv"
         slopes2 = tmp_path / "b.slopes.csv"
         assert slopes1.read_bytes() == slopes2.read_bytes()
+
+    def test_sweep_slope_csv_sits_next_to_out(self, tmp_path, capsys, power_law_regret):
+        # a dot in a directory name is not the file's extension
+        power_law_regret(1.0)
+        (tmp_path / "res.d").mkdir()
+        out = tmp_path / "res.d" / "sweep"
+        assert main(["sweep", "--n", "100 1000 10000", "--reps", "5", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == ["sweep", "sweep.slopes"]
 
     def test_sweep_csv_bytes_do_not_depend_on_workers(self, tmp_path, capsys):
         # 130 reps make three chunks of the pool's 64, so both workers run seasons

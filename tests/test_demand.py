@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dynpricing.demand import (
-    P_INF,
     ExponentialDemand,
     LinearDemand,
     LogitDemand,
@@ -19,6 +18,7 @@ from dynpricing.demand import (
     solve_pu,
 )
 from dynpricing.errors import PriceDomainError
+from dynpricing.market_sim import P_INF
 
 LIN = LinearDemand(30.0, 3.0)
 EXP = ExponentialDemand(80.0, 0.5)
@@ -26,11 +26,11 @@ EXP = ExponentialDemand(80.0, 0.5)
 
 class TestRateInterface:
     def test_shutoff_price_is_not_a_price(self):
-        # only the simulator writes P_INF, for a season's tail; no rate is
-        # asked of it
-        with pytest.raises(TypeError):
+        # only the simulator writes P_INF, for a season's tail; it lies
+        # outside every price box
+        with pytest.raises(PriceDomainError):
             LIN.rate(P_INF)
-        with pytest.raises(TypeError):
+        with pytest.raises(PriceDomainError):
             LIN.revenue(P_INF)
 
     def test_out_of_interval_price_rejected(self):

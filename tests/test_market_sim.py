@@ -247,8 +247,9 @@ class TestPasses:
         ([math.nan, 5.0], 0.5),
         ([5.0, 6.0], -0.5),  # negative duration
         ([], 0.5),  # empty pass
-        ([P_INF], 0.5),  # the shut-off price is the simulator's, not a policy's
-        ([5.0, P_INF], 0.5),
+        # the shut-off price is the simulator's, not a policy's; its repr is inf
+        pytest.param(([P_INF], 0.5), id="([P_INF], 0.5)"),
+        pytest.param(([5.0, P_INF], 0.5), id="([5.0, P_INF], 0.5)"),
         (5.0, 0.5),  # a bare price, not a pass
         (["five"], 0.5),
         ([5.0], "soon"),

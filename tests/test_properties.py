@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dynpricing.demand import (
     _PRICE_TOL as _PRICE_SLACK,
-    P_INF,
     ExponentialDemand,
     LinearDemand,
     LogitDemand,
@@ -19,6 +18,7 @@ from dynpricing.demand import (
 )
 from dynpricing.market_sim import (
     _T_EPS,
+    P_INF,
     Segment,
     run_policy,
     season_rng,

@@ -1,7 +1,9 @@
-"""Regret estimation, slope fitting, sweeps, and CSV output."""
+"""Season runner, regret estimation, slope fitting, sweeps, and CSV output."""
 
+import ast
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,13 +11,15 @@ import pytest
 from dynpricing.demand import LinearDemand, ProblemInstance
 from dynpricing import regret_harness
 from dynpricing.errors import UndefinedRegretError
-from dynpricing.policies import PolicyConfig
+from dynpricing.market_sim import run_policy
+from dynpricing.policies import PolicyConfig, make_policy
 from dynpricing.regret_harness import (
     RegretPoint,
     check_revenue_bound,
     csv_meta,
     estimate_regret,
     fit_loglog,
+    seasons,
     sweep,
     write_regret_csv,
     write_slope_csv,
@@ -23,6 +27,33 @@ from dynpricing.regret_harness import (
 
 LIN = LinearDemand(30.0, 3.0)
 BASE = ProblemInstance(LIN, 20.0, 1.0, 10)
+
+
+class TestSeasons:
+    def test_each_rep_runs_a_fresh_policy_on_its_own_key(self):
+        inst, config = BASE.with_market_size(500), PolicyConfig("dpa")
+        ran = list(seasons(inst, config, 7, [5, 0, 3]))
+        assert [trace for _, trace in ran] == [
+            run_policy(inst, make_policy(config, inst), seed=(7, 500, rep)) for rep in (5, 0, 3)
+        ]
+        assert len({id(policy) for policy, _ in ran}) == 3
+
+    def test_seasons_is_the_only_caller_of_run_policy(self):
+        # every replicated season in the package keys its stream in one place
+        def calls(tree):
+            return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and "run_policy" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))]
+
+        found, in_seasons = [], None
+        for path in sorted(pathlib.Path(regret_harness.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            found += calls(tree)
+            if path.stem == "regret_harness":
+                (runner,) = [node for node in tree.body
+                             if isinstance(node, ast.FunctionDef) and node.name == "seasons"]
+                in_seasons = calls(runner)
+        assert len(in_seasons) == 1 and found == in_seasons
 
 
 class TestEstimate:
@@ -37,11 +68,13 @@ class TestEstimate:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        # 130 reps make three chunks of the pool's 64, so both workers run seasons
-        cell = BASE.with_market_size(100), PolicyConfig("dpa"), 130
-        serial = estimate_regret(*cell, seed=0, workers=1)
-        pooled = estimate_regret(*cell, seed=0, workers=2)
-        assert serial == pooled
+        # the reps run in blocks of 64: 65 reps put a block boundary at rep
+        # 64, and 130 make three blocks, so both workers run seasons
+        for reps in (65, 130):
+            cell = BASE.with_market_size(100), PolicyConfig("dpa"), reps
+            serial = estimate_regret(*cell, seed=0, workers=1)
+            pooled = estimate_regret(*cell, seed=0, workers=2)
+            assert serial == pooled
 
     def test_pool_never_exceeds_the_cores(self, monkeypatch):
         built = []
