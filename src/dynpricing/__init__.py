@@ -8,9 +8,10 @@ them.  It is organized around a small set of pieces:
     with a kink, worst-case linear), deterministic benchmark prices and
     values
 ``market_sim``
-    Poisson market simulator; ``run_policy`` drives a policy's ``season()``
-    generator, which yields (prices, duration) passes of in-box prices and
-    is sent each full pass's sales counts
+    Poisson market simulator; ``run_block`` runs a block of seasons in
+    lockstep, driving the policies' ``season(block)`` generator, which
+    yields (rows, prices, duration) passes of in-box prices and is sent
+    which rows ran in full and their sales counts
 ``schedules`` / ``policies``
     learning schedules and the two-track shrinking-interval policies,
     plus fixed-price (clairvoyant at p_D) and single-phase baselines

@@ -63,6 +63,7 @@ from .lower_bound import (
 
 DEFAULT_N_VALUES = (10, 100, 1000, 10000, 100000)
 ONE_SIZE_COMMANDS = ("solve", "run")  # without an n they run at the first default
+_WRITERS = ("run", "sweep", "lowerbound")  # the commands that write --out
 
 _DEMAND_ARITY = {
     # family -> (param count, model); an optional floor/ceil pair may follow
@@ -430,8 +431,10 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError("sweep needs at least 3 distinct market sizes")
     if command in ONE_SIZE_COMMANDS and len(config.n_values) > 1:
         raise ConfigError(f"{command} takes one market size, got {len(config.n_values)}")
+    if config.out is not None and command not in _WRITERS:
+        raise ConfigError(f"{command} writes no file; --out is for {', '.join(_WRITERS)}")
     # sweep's slope CSV goes next to --out, so one check covers both files
-    if config.out is not None and command in ("run", "sweep", "lowerbound"):
+    if config.out is not None:
         folder = os.path.dirname(config.out) or "."
         if os.path.isdir(config.out):
             raise ConfigError(f"--out {config.out!r} is a directory")

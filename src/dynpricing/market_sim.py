@@ -1,17 +1,35 @@
-"""Poisson market simulator and the season protocol.
+"""Poisson market simulator: the block engine and the season protocol.
 
-A simulation runs one selling season.  A policy is any object whose
-``season()`` returns a generator of (prices, duration) passes: k >= 1
-prices inside the model's price interval, each posted for ``duration`` in
-order.  ``run_policy`` sends the list of k sales counts back into it once
-the whole pass has run; a pass that a stock-out or the season end cuts
-short is the season's last and is not sent back.  The simulator keeps the
-clock, the inventory, the revenue and the random stream.  Once inventory
-hits zero, or the generator stops early, the remainder of the season is
-priced at the shut-off price ``P_INF`` (``math.inf``) with no further
-policy involvement.  That tail is the simulator's alone: a pass holds
-in-box prices only.  A trace keeps one record per pass and builds its
-per-segment view only when read.
+``run_block`` runs a block of seasons in lockstep, one per rep, all on
+one instance and all from one policy config.  A policy object holds one
+rep's state; its ``season(block)``, called on the block's first policy
+with the whole block, is a generator of passes over the block.  A pass
+is (rows, prices, duration): the reps ``rows`` (indices into the block)
+each post their row of an (m, k) price matrix, k >= 1 prices inside the
+model's price interval, each price for ``duration`` in order.  A fixed
+price or a commitment is a pass of one price.  The engine sends back
+(full, sales): the mask of the rows whose pass ran in full and the (m, k)
+sales counts.  A rep whose pass a stock-out or the season end cuts short
+is done, and so is a rep whose full pass ended its season; the policy
+then drops it, and a pass that still names it runs without it.  The
+engine keeps each rep's clock, inventory, revenue and random stream.
+Once a rep's inventory hits zero, or the generator stops early, the
+remainder of its season is priced at the shut-off price ``P_INF``
+(``math.inf``) with no further policy involvement.  That tail is the
+engine's alone: a pass holds in-box prices only.  A trace keeps one
+record per pass and builds its per-segment view only when read.
+``run_policy`` is the engine on a block of one.
+
+Every rep's policy state ends as it would in a season run alone.  A lone
+season stops its policy at a pass cut short, unsent, or at the first pass
+the policy posts once the season is over, discarded.  The engine freezes
+each rep at that same point and sends until the generator stops or every
+rep is frozen; a pass that names only frozen reps runs empty.  Each pass
+computes its clock steps, rates, means, stock caps and revenue with array
+operations over the rows, in the order of operations of one season run
+alone, so every count and float is the one a lone season gives.  Rates
+come from the model's ``_rate`` one price at a time: numpy's own exp
+differs from ``math.exp`` in the last bit for some arguments.
 
 Randomness: each season carries a key K of 1 to 4 words, each in
 [0, 2^64); ``regret_harness.seasons`` keys every replicated season
@@ -20,18 +38,25 @@ counter-based stream (Salmon et al., "Parallel Random Numbers: As Easy as
 1, 2, 3", SC'11): Philox4x64 with key (K0, K1) and a counter starting at
 (0, 0, K2, K3), that is
 ``Generator(Philox(key=K0 + 2**64 * K1, counter=2**128 * K2 + 2**192 * K3))``.
-The season draws its segments' sales from it in order, so within a season
-a draw depends on the draws before it; zero-mean segments draw nothing.
-A season uses fewer than 2^128 blocks of the counter, so distinct keys
-never share a block, and no season's draws depend on another's, on the
-order seasons run in, or on the worker count.
+The season draws its segments' sales from it in order, so within a
+season a draw depends on the draws before it; zero-mean segments draw
+nothing, and nothing after a stock-out matters.  Running in a block
+leaves every season's stream as it is: each rep draws its row of a pass
+from its own stream, with one array ``poisson`` call for a long row and
+scalar calls, which stop at the stock-out, for a short one.  A season
+uses fewer than 2^128 blocks of the counter, so distinct keys never share
+a block, and no season's draws depend on another's, on the block it runs
+in, on the order seasons run in, or on the worker count.
 
-``season_rng`` positions one reused generator per process at the start
-of a key's stream through its public state setter, which costs a fraction
-of building a fresh ``Philox`` for each of thousands of short seasons.
-The generator is valid until the next ``season_rng`` call and must not be
-shared across threads.  It is built on the first call, so importing this
-module does not import ``numpy.random``.
+Generators are reused, not built per season: positioning one at the start
+of a key's stream through its public state setter costs a fraction of
+building a fresh ``Philox`` for each of thousands of short seasons.
+``season_rng`` positions one generator per process, and ``run_block``
+positions one per block slot, reused from block to block, for each rep at
+its season's start.  A positioned generator is valid until it is
+positioned again and must not be shared across threads.  Generators are
+built on first use, so importing this module does not import
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -48,6 +73,9 @@ from .errors import PolicyProtocolError
 P_INF = math.inf  # the shut-off price; fails every price box check
 _T_EPS = 1e-12
 _KEY_WORDS = 4
+# a pass row of more prices draws them in one array call: numpy's array
+# ``poisson`` costs about a dozen scalar calls in argument checks
+_ARRAY_DRAWS = 12
 
 
 def _as_entropy(seed) -> tuple:
@@ -62,20 +90,22 @@ def _as_entropy(seed) -> tuple:
     return parts
 
 
-_rng = None  # the process's one generator, built on the first season
+_rng = None  # season_rng's generator, built on its first call
+_slots = []  # run_block's generators, one per block slot, built on first use
 
 
-def season_rng(entropy) -> np.random.Generator:
-    """The process's generator, positioned at the start of the stream of
-    season key ``entropy`` (see the module docstring); valid until the
-    next call.  Raises ValueError for a key outside the domain."""
-    global _rng
+def _generator() -> np.random.Generator:
+    from numpy.random import Generator, Philox
+
+    return Generator(Philox(0))
+
+
+def _positioned(rng: np.random.Generator, entropy) -> np.random.Generator:
+    """``rng``, set to the start of the stream of season key ``entropy``
+    (see the module docstring).  Raises ValueError for a key outside the
+    domain."""
     k0, k1, k2, k3 = (_as_entropy(entropy) + (0,) * _KEY_WORDS)[:_KEY_WORDS]
-    if _rng is None:
-        from numpy.random import Generator, Philox
-
-        _rng = Generator(Philox(0))
-    _rng.bit_generator.state = {
+    rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, k2, k3), "key": (k0, k1)},
         "buffer": (0, 0, 0, 0),
@@ -83,7 +113,17 @@ def season_rng(entropy) -> np.random.Generator:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return _rng
+    return rng
+
+
+def season_rng(entropy) -> np.random.Generator:
+    """The process's generator, positioned at the start of the stream of
+    season key ``entropy``; valid until the next call.  Raises ValueError
+    for a key outside the domain."""
+    global _rng
+    if _rng is None:
+        _rng = _generator()
+    return _positioned(_rng, entropy)
 
 
 class Segment(NamedTuple):
@@ -122,17 +162,16 @@ class SimulationTrace:
         return tuple(segments)
 
 
-def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
-    """Run one season of ``policy`` on ``instance``.
+def run_block(instance: ProblemInstance, policies, keys) -> list:
+    """Run one season per policy on ``instance`` in lockstep, policy i on
+    the stream of season key ``keys[i]``; return their traces in order.
 
-    ``policy.season()`` must return a generator of (prices, duration)
-    passes (see the module docstring).  A pass whose last price ends the
-    season is sent back, and whatever the policy yields next is discarded.
-    Prices must lie in the model's interval, up to the slack that
-    ``DemandModel.rate`` allows; ``P_INF`` is not a price a policy may
-    post.  The segment that crosses the season end is clamped to it.
-    Identical (instance, policy behavior, seed) triples reproduce the trace
-    exactly.
+    ``policies`` is a block of policies made from one config, and
+    ``policies[0].season(policies)`` the generator that runs it (see the
+    module docstring).  Prices must lie in the model's interval, up to the
+    slack that ``DemandModel.rate`` allows; ``P_INF`` is not a price a
+    policy may post.  The segment that crosses the season end is clamped to
+    it.  A key outside the domain raises ValueError before any season runs.
     """
     model = instance.demand
     rate = model._rate
@@ -141,63 +180,134 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     n = instance.market_size
     open_until = T - _T_EPS
     lowest, highest = floor - _PRICE_TOL, ceil + _PRICE_TOL
-    poisson = season_rng(seed).poisson
-    stock = instance.scaled_inventory
-    clock = 0.0
-    revenue = 0.0
-    passes = []
-    stockout_time = None
-    season = policy.season()
+    size = len(policies)
+    while len(_slots) < size:
+        _slots.append(_generator())
+    rngs = [_positioned(rng, key) for rng, key in zip(_slots, keys)]
+    # stock is int64: past 2^63 - 1 units it could bind only once the int64
+    # sales sums had overflowed
+    stock = np.full(size, min(instance.scaled_inventory, 2**63 - 1), dtype=np.int64)
+    clock = np.zeros(size)
+    revenue = np.zeros(size)
     # a season with nothing to sell never asks the policy
-    request = next(season, None) if stock and clock < open_until else None
+    running = np.full(size, bool(instance.scaled_inventory) and 0.0 < open_until)
+    frozen = ~running  # reps whose policy a season run alone would have stopped
+    passes = [[] for _ in range(size)]
+    stockout_time = [None] * size
+    season = policies[0].season(policies)
+    request = None if frozen.all() else next(season, None)
     while request is not None:
         try:
-            prices, duration = request
-            prices = [float(p) for p in prices]
+            rows, prices, duration = request
+            rows = np.asarray(rows, dtype=np.intp)
+            prices = np.asarray(prices, dtype=float)
             duration = float(duration)
-            lo, hi = min(prices), max(prices)
-        except (TypeError, ValueError):
+            lo, hi = prices.min(), prices.max()
+            live = running[rows]
+        except (TypeError, ValueError, IndexError):
             raise PolicyProtocolError(f"bad pass request {request!r}") from None
-        # min and max pass over a NaN that does not come first; the sum does not
-        if not lowest <= lo <= hi <= highest or math.isnan(sum(prices)):
-            raise PolicyProtocolError(f"policy posted an infeasible pass {prices!r}")
+        if rows.ndim != 1 or prices.ndim != 2 or len(rows) != len(prices):
+            raise PolicyProtocolError(f"bad pass request {request!r}")
+        # a NaN fails both comparisons, and numpy's min and max pass it on
+        if not lowest <= lo <= hi <= highest:
+            raise PolicyProtocolError(f"policy posted an infeasible pass {prices.tolist()!r}")
         if duration < -_T_EPS:
             raise PolicyProtocolError(f"policy emitted negative duration {duration!r}")
+        # a lone season stops its policy at the first pass it posts once the
+        # season is over, and discards that pass
+        frozen[rows[~live]] = True
+        if frozen.all():
+            break
         # a rounding-sized negative duration advances the clock by 0, and the
         # trace records what the clock advanced by
         duration = max(0.0, duration)
-        clamp = lo < floor or hi > ceil  # a price inside the slack sells at the box edge
-        start, durations, sales = clock, [], []
-        for price in prices:
-            rest = T - clock
-            step = rest if rest < duration else duration  # clamped at season end
-            mean = n * rate(min(max(price, floor), ceil) if clamp else price) * step
-            # zero-mean segments draw nothing, and neither do negative rates
-            if mean > 0:
-                count = min(int(poisson(mean)), stock)
-                stock -= count
-                revenue += price * count
-            else:
-                count = 0
-            durations.append(step)
-            sales.append(count)
-            clock += step
-            if not stock or clock >= open_until:
-                break
-        passes.append(Pass(prices, start, durations, sales))
-        if not stock:
-            stockout_time = clock
-        if len(sales) == len(prices):  # a cut pass is the season's last
-            try:
-                request = season.send(sales)  # sent even when the season just ended
-            except StopIteration:
-                break
-        if not stock or clock >= open_until:
+        full = np.zeros(len(rows), dtype=bool)
+        sales = np.zeros(prices.shape, dtype=np.int64)
+        if not live.all():  # reps whose season is over drop out of the pass
+            rows, prices = rows[live], prices[live]
+        k = prices.shape[1]
+        # clock before and after each price; the step that crosses the
+        # season end is clamped to it, and what follows it never runs
+        start = clock[rows]
+        before = np.add.accumulate(
+            np.column_stack((start, np.full((len(rows), k - 1), duration))), axis=1)
+        rest = T - before
+        steps = np.where(rest < duration, rest, duration)
+        after = before + steps
+        runs = np.ones(prices.shape, dtype=bool)
+        runs[:, 1:] = after[:, :-1] < open_until
+        # a price inside the slack sells at the box edge
+        priced = np.clip(prices, floor, ceil) if lo < floor or hi > ceil else prices
+        rates = np.array(list(map(rate, priced.ravel().tolist()))).reshape(prices.shape)
+        means = n * rates * steps
+        # zero-mean segments draw nothing, and neither do negative rates
+        means = np.where(runs & (means > 0), means, 0.0)
+        have = stock[rows]
+        draws = []
+        # each rep draws its row from its own stream, in price order
+        for b, mu, units in zip(rows.tolist(), means, have.tolist()):
+            poisson = rngs[b].poisson
+            if k > _ARRAY_DRAWS:
+                try:
+                    draws.append(poisson(mu))
+                    continue
+                except ValueError:
+                    pass  # a mean past numpy's limit: draw one at a time
+            row = []
+            for x in mu.tolist():
+                count = poisson(x) if x > 0 and units > 0 else 0  # none after a stock-out
+                units -= count
+                row.append(count)
+            draws.append(row)
+        draws = np.array(draws, dtype=np.int64).reshape(prices.shape)
+        # sales are capped by the stock left before each price
+        sold_before = np.cumsum(draws, axis=1) - draws
+        counts = np.minimum(draws, np.maximum(have[:, None] - sold_before, 0))
+        left = have[:, None] - np.cumsum(counts, axis=1)
+        ended = (left == 0) | (after >= open_until)
+        ran = np.where(ended.any(axis=1), ended.argmax(axis=1) + 1, k)
+        last = ran - 1
+        at = np.arange(len(rows))
+        stock[rows] = left[at, last]
+        clock[rows] = after[at, last]
+        revenue[rows] = np.add.accumulate(
+            np.column_stack((revenue[rows], prices * counts)), axis=1)[:, -1]
+        running[rows] = (stock[rows] > 0) & (clock[rows] < open_until)
+        for b, row, t, durations, counted, m, out, t_end in zip(
+            rows.tolist(), prices.tolist(), start.tolist(), steps.tolist(),
+            counts.tolist(), ran.tolist(), (stock[rows] == 0).tolist(), clock[rows].tolist(),
+        ):
+            passes[b].append(Pass(row, t, durations[:m], counted[:m]))
+            if out:
+                stockout_time[b] = t_end
+        # a cut pass stops its rep's policy; a pass that ran in full is sent
+        # back, even when it ended the season
+        frozen[rows[ran < k]] = True
+        if frozen.all():
             break
-    if clock < open_until:
-        # stockout or early policy exit: shut off demand for the tail
-        passes.append(Pass([P_INF], clock, [T - clock], [0]))
-    return SimulationTrace(tuple(passes), revenue, stockout_time)
+        if live.all():
+            full, sales = ran == k, counts
+        else:
+            full[live], sales[live] = ran == k, counts
+        try:
+            request = season.send((full, sales))
+        except StopIteration:
+            break
+    traces = []
+    for trail, t, total, out in zip(passes, clock.tolist(), revenue.tolist(), stockout_time):
+        if t < open_until:
+            # stockout or early policy exit: shut off demand for the tail
+            trail.append(Pass([P_INF], t, [T - t], [0]))
+        traces.append(SimulationTrace(tuple(trail), total, out))
+    return traces
+
+
+def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
+    """One season of ``policy`` on the stream of key ``seed``: a block of
+    one.  Identical (instance, policy behavior, seed) triples reproduce the
+    trace exactly."""
+    (trace,) = run_block(instance, [policy], [seed])
+    return trace
 
 
 def poisson_tail_check(

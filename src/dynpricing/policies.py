@@ -1,16 +1,21 @@
-"""Pricing policies speaking the simulator's season protocol.
+"""Pricing policies speaking the block engine's season protocol.
 
-Every policy's ``season()`` is a generator of (prices, duration) passes
-that receives, through ``send``, the sales counts of each pass that ran
-in full; a cut pass ends the season (see ``market_sim.run_policy``).  A
-pass is a plain list of prices inside the price box; no policy posts the
-shut-off price, which only the simulator writes.  A policy object runs
-one season.  The clairvoyant baseline is
-``FixedPricePolicy`` at the deterministic price p_D.  The learning
-policies follow the shrinking-interval scheme: test a price grid, one
-pass, on the current interval, estimate the demand rate at each grid
-point, re-center a narrower interval on the estimated optimum, and
-finally commit to a single price for the rest of the season.
+A policy object holds one rep's state: ``applied_price`` and, for the
+learning policies, ``iterations``, ``entered_step3`` and
+``truncated_learning``.  Its class's ``season(block)`` runs the decision
+logic of a whole block of such objects, made from one config, as arrays
+over the reps: a generator of (rows, prices, duration) passes that
+receives, through ``send``, the mask of the reps whose pass ran in full
+and their sales counts (see ``market_sim``).  A rep whose pass was cut,
+or whose season is over, leaves the block's logic at the point where a
+season run alone would stop, so every rep's state ends as it would alone.
+No policy posts the shut-off price, which only the simulator writes.
+The clairvoyant baseline is ``FixedPricePolicy`` at the deterministic
+price p_D.  The learning policies follow the shrinking-interval scheme:
+test a price grid, one pass, on the current interval, estimate the
+demand rate at each grid point, re-center a narrower interval on the
+estimated optimum, and finally commit to a single price for the rest of
+the season.
 
 One track runner does every learning iteration of every policy.  A track
 is set by its schedule, its left and right shrink widths (in grid steps),
@@ -27,10 +32,13 @@ used:
   max(p_u_hat, p_c_hat), never hands off, and commits without any
   final-price adjustment; built for revenue curves with a concave corner.
 
-All policies track their own clock and never request past the season end.
-An iteration that no longer fits is cut to the remaining time only while
-its track has no estimate yet; otherwise learning stops there and the
-current estimate is applied for the remainder.  The constrained track
+Reps on one track that started it together share its clock; reps that
+leave it (a hand-off, a degenerate interval, the schedule's end) leave in
+groups, each of which goes on at its own clock.  No policy requests past
+the season end.  An iteration that no longer fits is cut to the
+remaining time only while its track has no estimate yet; otherwise
+learning stops there and the current estimate is applied for the
+remainder.  The constrained track
 starts from the revenue track's hand-off estimate, so in practice only a
 first iteration is ever cut.
 """
@@ -40,6 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .demand import ProblemInstance, deterministic_price
 from .errors import ConfigError
 from .market_sim import _T_EPS
@@ -48,24 +58,36 @@ from .schedules import TrackSchedule, build_kink_schedule, build_schedule
 POLICY_NAMES = ("dpa", "dpa2", "clairvoyant", "single_phase", "fixed")
 
 
-def _grid_pass(prices, delta, n, target, t):
-    """Post each of ``prices`` for ``delta``, starting at clock ``t``, as one
-    pass; a generator.
+def _grid_pass(rows, prices, delta, n, target, t):
+    """Post row i of ``prices``, an (m, k) grid, for rep ``rows[i]``, each
+    price for ``delta`` from clock ``t``, as one pass; a generator.
 
     The rate at each price is estimated as sales / (n delta).  Returns
-    (p_u_hat, p_c_hat, t): the grid price of the highest estimated revenue,
-    the one whose rate estimate is nearest ``target``, and the clock after
+    (full, p_u_hat, p_c_hat, t): the mask of the reps whose pass ran in
+    full and, for those, the grid price of the highest estimated revenue and
+    the one whose rate estimate is nearest ``target``; and the clock after
     the pass, advanced by ``delta`` per price.
     """
-    sales = yield (prices, delta)
-    unit = n * delta
-    estimates = [(price, count / unit) for price, count in zip(prices, sales)]
-    for _ in sales:
+    full, sales = yield rows, prices, delta
+    prices = prices[full]
+    rates = sales[full] / (n * delta)
+    for _ in range(prices.shape[1]):
         t += delta
-    # on ties max and min keep the first, the lowest price
-    p_u = max(estimates, key=lambda e: e[0] * e[1])[0]
-    p_c = min(estimates, key=lambda e: abs(e[1] - target))[0]
-    return p_u, p_c, t
+    at = np.arange(len(prices))
+    # on ties argmax and argmin keep the first, the lowest price
+    p_u = prices[at, np.argmax(prices * rates, axis=1)]
+    p_c = prices[at, np.argmin(np.abs(rates - target), axis=1)]
+    return full, p_u, p_c, t
+
+
+def _commit(block, rows, price, t):
+    """Apply ``price[i]`` for rep ``rows[i]`` for whatever is left of the
+    season after clock ``t``; a generator."""
+    for rep, p in zip(rows.tolist(), price.tolist()):
+        block[rep].applied_price = p
+    remaining = block[0].instance.horizon - t
+    if remaining > _T_EPS and len(rows):
+        yield rows, price[:, None], remaining
 
 
 class FixedPricePolicy:
@@ -80,8 +102,9 @@ class FixedPricePolicy:
         self.instance = instance
         self.applied_price = float(price)
 
-    def season(self):
-        yield ([self.applied_price], self.instance.horizon)
+    @staticmethod
+    def season(block):
+        yield np.arange(len(block)), [[p.applied_price] for p in block], block[0].instance.horizon
 
 
 class SinglePhaseGridPolicy:
@@ -99,8 +122,9 @@ class SinglePhaseGridPolicy:
         self.instance = instance
         self.applied_price = None
 
-    def season(self):
-        inst = self.instance
+    @staticmethod
+    def season(block):
+        inst = block[0].instance
         model = inst.demand
         n, T = inst.market_size, inst.horizon
         floor, ceil = model.price_floor, model.price_ceil
@@ -109,15 +133,74 @@ class SinglePhaseGridPolicy:
         step = (ceil - floor) / (grid_size - 1)
         grid = [floor + j * step for j in range(grid_size - 1)] + [ceil]
         delta = n ** (-0.25) * T / grid_size
-        p_u, p_c, t = yield from _grid_pass(grid, delta, n, inst.inventory / T, 0.0)
-        self.applied_price = max(p_u, p_c)
-        if T - t > _T_EPS:
-            yield ([self.applied_price], T - t)
+        rows = np.arange(len(block))
+        full, p_u, p_c, t = yield from _grid_pass(
+            rows, np.array([grid] * len(block)), delta, n, inst.inventory / T, 0.0
+        )
+        yield from _commit(block, rows[full], np.maximum(p_u, p_c), t)
+
+
+def _run_track(block, track, schedule, rows, lo, hi, t, left, right, center,
+               margin=None, estimate=None):
+    """Run one learning track for reps ``rows`` of ``block``, rep
+    ``rows[i]`` on [lo[i], hi[i]], all at clock ``t``; a generator of passes.
+
+    Each iteration tests a grid, estimates p_u and p_c, and shrinks the
+    interval to [c - left * step, c + right * step] around
+    c = center(p_u_hat, p_c_hat), clamped to the price box.  A rep hands
+    off when p_c_hat exceeds p_u_hat by more than ``margin`` grid steps;
+    ``estimate`` is the estimate the reps start from, if any.  Returns the
+    reps that left the track, in groups that left it together, as
+    (rows, t, estimate, grid step, lo, hi, handed off), where on a hand-off
+    the estimate is p_c_hat and [lo, hi] the interval just tested.
+    """
+    first = block[0]
+    T = first.instance.horizon
+    n = first.instance.market_size
+    exits = []
+    step = None
+    for i, (tau, kappa) in enumerate(zip(schedule.tau, schedule.kappa), start=1):
+        tau *= T
+        truncated = t + tau > T + _T_EPS
+        if truncated:
+            if estimate is not None:
+                break
+            tau = T - t
+            for rep in rows.tolist():
+                block[rep].truncated_learning = True
+        step = (hi - lo) / kappa
+        for rep, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            block[rep].iterations.append((track, i, a, b, None, None))
+        # grid pass: kappa left-endpoint prices for tau / kappa each
+        full, p_u, p_c, t = yield from _grid_pass(
+            rows, lo[:, None] + step[:, None] * np.arange(kappa), tau / kappa, n,
+            first.target, t,
+        )
+        rows, lo, hi, step = rows[full], lo[full], hi[full], step[full]
+        for rep, a, b, u, c in zip(rows.tolist(), lo.tolist(), hi.tolist(),
+                                   p_u.tolist(), p_c.tolist()):
+            block[rep].iterations[-1] = (track, i, a, b, u, c)
+        estimate = center(p_u, p_c)
+        if truncated:
+            break
+        if margin is not None:
+            handed = p_c > p_u + margin * step
+            exits.append((rows[handed], t, p_c[handed], step[handed], lo[handed], hi[handed], True))
+            rows, step, estimate = rows[~handed], step[~handed], estimate[~handed]
+        lo = np.maximum(estimate - left * step, first.p_lo)
+        hi = np.minimum(estimate + right * step, first.p_hi)
+        stop = hi - lo <= first._degenerate_width
+        exits.append((rows[stop], t, estimate[stop], step[stop], lo[stop], hi[stop], False))
+        rows, lo, hi, step, estimate = (a[~stop] for a in (rows, lo, hi, step, estimate))
+        if not len(rows):
+            break
+    exits.append((rows, t, estimate, step, lo, hi, False))
+    return [e for e in exits if len(e[0])]
 
 
 class _IntervalLearner:
-    """Shared bookkeeping and the track runner of the shrinking-interval
-    policies."""
+    """Per-rep state of the shrinking-interval policies; the block logic
+    is ``_run_track``."""
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
@@ -131,67 +214,13 @@ class _IntervalLearner:
         self.iterations = []
         self.applied_price = None
         self.truncated_learning = False
-        self._t = 0.0
         self._degenerate_width = max(1e-12, 1e-10 * (self.p_hi - self.p_lo))
 
-    def _run_track(
-        self,
-        track: str,
-        schedule: TrackSchedule,
-        lo: float,
-        hi: float,
-        left: float,
-        right: float,
-        center,
-        margin: float = math.inf,
-        estimate: float | None = None,
-    ):
-        """Run one learning track on [lo, hi]; a generator of passes.
-
-        Each iteration tests a grid, estimates p_u and p_c, and shrinks the
-        interval to [c - left * step, c + right * step] around
-        c = center(p_u_hat, p_c_hat), clamped to the price box.  The track
-        hands off when p_c_hat exceeds p_u_hat by more than margin grid
-        steps; ``estimate`` is the estimate the track starts from, if any.
-        Returns (estimate, grid step, lo, hi, handed off), where on a
-        hand-off the estimate is p_c_hat and [lo, hi] the interval just
-        tested.
-        """
-        T = self.instance.horizon
-        n = self.instance.market_size
-        step = None
-        for i, (tau, kappa) in enumerate(zip(schedule.tau, schedule.kappa), start=1):
-            tau *= T
-            truncated = self._t + tau > T + _T_EPS
-            if truncated:
-                if estimate is not None:
-                    break
-                tau = T - self._t
-                self.truncated_learning = True
-            step = (hi - lo) / kappa
-            self.iterations.append((track, i, lo, hi, None, None))
-            # grid pass: kappa left-endpoint prices for tau / kappa each
-            p_u, p_c, self._t = yield from _grid_pass(
-                [lo + step * j for j in range(kappa)], tau / kappa, n, self.target, self._t
-            )
-            self.iterations[-1] = (track, i, lo, hi, p_u, p_c)
-            estimate = center(p_u, p_c)
-            if truncated:
-                break
-            if p_c > p_u + margin * step:
-                return p_c, step, lo, hi, True
-            lo = max(estimate - left * step, self.p_lo)
-            hi = min(estimate + right * step, self.p_hi)
-            if hi - lo <= self._degenerate_width:
-                break
-        return estimate, step, lo, hi, False
-
-    def _commit(self, price):
-        """Apply ``price`` for whatever is left of the season."""
-        self.applied_price = price
-        remaining = self.instance.horizon - self._t
-        if remaining > _T_EPS:
-            yield ([price], remaining)
+    @staticmethod
+    def _whole_box(block):
+        """(rows, lo, hi) of a block starting its first track on the box."""
+        size = len(block)
+        return np.arange(size), np.full(size, block[0].p_lo), np.full(size, block[0].p_hi)
 
 
 class DpaPolicy(_IntervalLearner):
@@ -225,21 +254,29 @@ class DpaPolicy(_IntervalLearner):
         )
         self.entered_step3 = False
 
-    def season(self):
-        revenue, constrained = self.schedule
-        price, step, lo, hi, self.entered_step3 = yield from self._run_track(
-            "u", revenue, self.p_lo, self.p_hi,
-            self.ln_n / 3.0, 2.0 * self.ln_n / 3.0, max, self.transition_factor,
+    @staticmethod
+    def season(block):
+        first = block[0]
+        revenue, constrained = first.schedule
+        ln_n = first.ln_n
+        exits = yield from _run_track(
+            block, "u", revenue, *first._whole_box(block), 0.0,
+            ln_n / 3.0, 2.0 * ln_n / 3.0, np.maximum, first.transition_factor,
         )
-        if self.entered_step3:
-            price, _, _, _, _ = yield from self._run_track(
-                "c", constrained, lo, hi, self.ln_n / 2.0, self.ln_n / 2.0,
+        for rows, t, price, step, lo, hi, handed in exits:
+            if not handed:
+                # revenue track: shade the commitment up by the threshold width
+                price = np.minimum(price + 2.0 * math.sqrt(ln_n) * step, first.p_hi)
+                yield from _commit(block, rows, price, t)
+                continue
+            for rep in rows.tolist():
+                block[rep].entered_step3 = True
+            settled = yield from _run_track(
+                block, "c", constrained, rows, lo, hi, t, ln_n / 2.0, ln_n / 2.0,
                 lambda p_u, p_c: p_c, estimate=price,
             )
-        else:
-            # revenue track: shade the commitment up by the threshold width
-            price = min(price + 2.0 * math.sqrt(self.ln_n) * step, self.p_hi)
-        yield from self._commit(price)
+            for group, t_end, final, *_ in settled:
+                yield from _commit(block, group, final, t_end)
 
 
 class KinkPolicy(_IntervalLearner):
@@ -262,12 +299,15 @@ class KinkPolicy(_IntervalLearner):
         super().__init__(instance)
         self.schedule = build_kink_schedule(instance.market_size, delta, log_mode)
 
-    def season(self):
-        price, _, _, _, _ = yield from self._run_track(
-            "kink", self.schedule, self.p_lo, self.p_hi,
-            self.ln_n / 2.0, self.ln_n / 2.0, max,
+    @staticmethod
+    def season(block):
+        first = block[0]
+        exits = yield from _run_track(
+            block, "kink", first.schedule, *first._whole_box(block), 0.0,
+            first.ln_n / 2.0, first.ln_n / 2.0, np.maximum,
         )
-        yield from self._commit(price)
+        for rows, t, price, *_ in exits:
+            yield from _commit(block, rows, price, t)
 
 
 @dataclass(frozen=True)

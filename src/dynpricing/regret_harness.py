@@ -5,7 +5,10 @@ The deterministic optimum is an upper bound on every policy's expected
 revenue, so regret estimates are non-negative up to Monte Carlo noise.
 
 Every replicated season in the package runs through ``seasons``, the one
-place a season's key (root seed, market size, rep index) is formed.  Two
+place a season's key (root seed, market size, rep index) is formed.  It
+runs the reps in lockstep blocks of ``_BLOCK`` through the block engine
+(``market_sim.run_block``), and each season keeps its own stream, so its
+draws are the ones it would make alone, whatever the block size.  Two
 policies swept with the same root seed face identical demand randomness
 season for season, and rerunning any sweep reproduces every season bit
 for bit.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .demand import ProblemInstance, deterministic_value
 from .errors import UndefinedRegretError
-from .market_sim import run_policy
+from .market_sim import run_block
 from .policies import PolicyConfig, make_policy
 
 
@@ -45,16 +48,19 @@ class RegretReport:
     warnings: tuple[str, ...] = ()
 
 
-_BLOCK = 64  # reps per pool task; no season's key depends on it
+_BLOCK = 64  # reps per lockstep block and per pool task; no season's key depends on it
 
 
 def seasons(instance: ProblemInstance, config: PolicyConfig, seed: int, reps):
-    """Yield (policy, trace) for each rep index in ``reps``: a fresh
-    policy, run on the stream of key (seed, n, rep)."""
+    """Yield (policy, trace) for each rep index in ``reps``: a fresh policy,
+    run on the stream of key (seed, n, rep).  The reps run in lockstep
+    blocks of ``_BLOCK``; each season's draws are its own."""
     n = instance.market_size
-    for rep in reps:
-        policy = make_policy(config, instance)
-        yield policy, run_policy(instance, policy, seed=(seed, n, rep))
+    reps = list(reps)
+    for i in range(0, len(reps), _BLOCK):
+        block = reps[i:i + _BLOCK]
+        policies = [make_policy(config, instance) for _ in block]
+        yield from zip(policies, run_block(instance, policies, [(seed, n, rep) for rep in block]))
 
 
 def _revenues(block):

@@ -195,6 +195,11 @@ BAD_INPUTS = {
                                       None),
     "lowerbound out in missing directory": (["lowerbound", "--n", "1000", "--reps", "5",
                                              "--out", "no/b.csv"], None),
+    # solve and check write no file
+    "solve out": (["solve", "--out", "no/such/dir.csv"], None),
+    "solve out in file": (["solve"], "[experiment]\nout = s.csv\n"),
+    "check out": (["check", "--out", "c.csv"], None),
+    "check out in file": (["check"], "[experiment]\nout = c.csv\n"),
 }
 
 
@@ -223,7 +228,7 @@ class TestBoundary:
         def simulate(*args, **kwargs):
             raise AssertionError("a season was simulated")
 
-        monkeypatch.setattr(regret_harness, "run_policy", simulate)  # every season runs there
+        monkeypatch.setattr(regret_harness, "run_block", simulate)  # every season runs there
         monkeypatch.chdir(tmp_path)
         if text is not None:
             (tmp_path / "exp.ini").write_text(text)

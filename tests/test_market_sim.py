@@ -19,6 +19,7 @@ from dynpricing.market_sim import (
     Segment,
     SimulationTrace,
     poisson_tail_check,
+    run_block,
     run_policy,
     season_rng,
     write_trace_csv,
@@ -29,16 +30,52 @@ LIN = LinearDemand(30.0, 3.0)
 
 
 class ScriptedPolicy:
-    """Plays back a fixed list of (prices, duration) passes and records
-    every list of sales counts sent back."""
+    """Plays back a fixed list of (prices, duration) passes as a block of
+    one and records every list of sales counts sent back."""
 
     def __init__(self, script):
         self.script = list(script)
         self.seen_sales = []
 
-    def season(self):
+    def season(self, block):
         for request in self.script:
-            self.seen_sales.append((yield request))
+            # row 0 posts the pass; a malformed request stays malformed
+            _, sales = yield ([0], [request[0]], *request[1:])
+            self.seen_sales.append(sales[0].tolist())
+
+
+class BlockScript:
+    """Posts each pass of a script for every rep of its block and records
+    every (full, sales) pair sent back."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.sent = []
+
+    def season(self, block):
+        rows = np.arange(len(block))
+        for prices, duration in self.script:
+            self.sent.append((yield rows, [prices] * len(block), duration))
+
+
+class GroupedCommits:
+    """One first pass for the whole block, each rep posting its own
+    ``first`` prices, then one commitment per group of the reps whose
+    first pass ran in full, group by group; a group sets its reps'
+    ``applied_price`` before it posts."""
+
+    def __init__(self, first, group):
+        self.first, self.group = first, group
+        self.applied_price = None
+
+    def season(self, block):
+        full, _ = yield np.arange(len(block)), [p.first for p in block], 0.25
+        for group in sorted({p.group for p in block}):
+            rows = [b for b in np.flatnonzero(full).tolist() if block[b].group == group]
+            for b in rows:
+                block[b].applied_price = 6.0 + group
+            if rows:
+                yield rows, [[6.0 + group]] * len(rows), 0.5
 
 
 def make_instance(inventory=20.0, n=1000):
@@ -77,12 +114,28 @@ class TestSegmentDraws:
         assert trace.segments[0] == Segment(5.0, 0.0, 0.0, 0)
         assert trace.segments[1].t_start == 0.0 and trace.segments[1].duration == 1.0
 
+    def test_stock_beyond_int64_never_binds(self):
+        # n x = 10^19 units, more than an int64 holds, against a mean of 3e17
+        inst = ProblemInstance(LIN, 100.0, 1.0, 10**17)
+        trace = run_policy(inst, FixedPricePolicy(inst, 9.0), seed=(0,))
+        assert [seg.sales for seg in trace.segments] == [fresh_rng((0,)).poisson(10**17 * 3.0)]
+        assert trace.stockout_time is None
+
     def test_stockout_mid_season_sends_the_last_count(self):
         inst = make_instance(inventory=2.0)  # 2000 units against a mean of 7500
         policy = ScriptedPolicy([([5.0], 0.5), ([6.0], 0.5)])
         trace = run_policy(inst, policy, seed=(0, 1000, 0))
         assert policy.seen_sales == [[2000]]
         assert trace.segments[0].sales == 2000
+
+    @pytest.mark.parametrize("k", [2, 13])  # scalar draws and one array call
+    def test_no_draw_after_a_stock_out(self, k):
+        # 9 units sell out on the first price; every later price's mean is
+        # past numpy's Poisson limit, so drawing it would raise
+        inst = ProblemInstance(LIN, 1e-18, 1.0, 2**63)
+        trace = run_policy(inst, ScriptedPolicy([([5.0] + [0.1] * (k - 1), 0.05)]), seed=(0,))
+        assert trace.passes[0] == Pass([5.0] + [0.1] * (k - 1), 0.0, [0.05], [9])
+        assert trace.stockout_time == 0.05
 
     def test_empty_season_is_one_shutoff_segment(self):
         inst = make_instance()
@@ -262,6 +315,71 @@ class TestPasses:
             run_policy(inst, ScriptedPolicy([([5.0], 0.25), request_]), seed=0)
 
 
+class TestBlocks:
+    """Seasons run in lockstep blocks, each as if it ran alone."""
+
+    def test_reps_that_sold_out_drop_out_of_later_passes(self):
+        # 2000 units against a mean of 2000 over the first pass: some reps
+        # sell out on its last price, and the second pass runs for the rest,
+        # whose counts come back on their own rows
+        inst = make_instance(inventory=2.0)
+        script = [([5.0, 5.0], 1 / 15), ([6.0], 0.25)]
+        block = [BlockScript(script) for _ in range(8)]
+        traces = run_block(inst, block, [(0, 1000, rep) for rep in range(8)])
+        for rep, trace in enumerate(traces):
+            assert trace == run_policy(inst, BlockScript(script), seed=(0, 1000, rep))
+        (first_full, _), (full, sales) = block[0].sent
+        sold_out = np.array([trace.stockout_time == 2 / 15 for trace in traces])
+        assert first_full.all() and 0 < sold_out.sum() < 7 and not sold_out[-1]
+        assert (full == ~sold_out).all()
+        assert [row[0] for row in sales[full].tolist()] == [
+            trace.passes[1].sales[0] for trace, out in zip(traces, sold_out) if not out]
+
+    def test_groups_after_the_last_live_one_still_run(self):
+        # reps 0 and 5 sell 75 units at each 9.9; the others sell out on
+        # the first pass's 5.0 and so finish with it.  Their groups come
+        # after the live group's commitment, which ends every season, and
+        # each must still set its reps' price as a lone season would
+        inst = make_instance(inventory=2.0)
+        plan = [([9.9, 9.9], 0), ([9.9, 5.0], 1), ([9.9, 5.0], 1),
+                ([9.9, 5.0], 2), ([9.9, 5.0], 2), ([9.9, 9.9], 0)]
+        block = [GroupedCommits(*rep) for rep in plan]
+        traces = run_block(inst, block, [(0, 1000, rep) for rep in range(len(plan))])
+        for rep, (policy, trace) in enumerate(zip(block, traces)):
+            solo = GroupedCommits(*plan[rep])
+            assert trace == run_policy(inst, solo, seed=(0, 1000, rep))
+            assert vars(policy) == vars(solo)
+            assert policy.applied_price == 6.0 + plan[rep][1]
+        assert [trace.stockout_time for trace in traces[1:5]] == [0.5] * 4
+
+    def test_mixed_fates_match_solo_seasons(self):
+        # tight stock: within one block of 64 dpa reps some stock out inside
+        # a pass, some on a pass's last price, some hand off to the
+        # constrained track and some reach the season end with stock left
+        inst = make_instance(inventory=8.0, n=100)
+        config = PolicyConfig("dpa")
+        block = [make_policy(config, inst) for _ in range(64)]
+        traces = run_block(inst, block, [(0, 100, rep) for rep in range(64)])
+        fates = set()
+        for rep, (policy, trace) in enumerate(zip(block, traces)):
+            solo = make_policy(config, inst)
+            assert trace == run_policy(inst, solo, seed=(0, 100, rep))
+            assert vars(policy) == vars(solo)
+            last = [p for p in trace.passes if P_INF not in p.prices][-1]
+            if trace.stockout_time is None:
+                fates.add("season end")
+            elif len(last.sales) < len(last.prices):
+                fates.add("stock-out inside a pass")
+            elif len(last.prices) > 1:
+                fates.add("stock-out on a grid's last price")
+            else:
+                fates.add("stock-out on the commitment")
+            if policy.entered_step3:
+                fates.add("hand-off")
+        assert fates == {"season end", "stock-out inside a pass", "stock-out on a grid's last price",
+                         "stock-out on the commitment", "hand-off"}
+
+
 class TestTailCheck:
     def test_exceedance_is_rare(self):
         freq = poisson_tail_check(mu=5.0, r_n=500.0, eta=1.0, replications=5000, n=10**4)
@@ -378,7 +496,7 @@ class TestSegmentStreams:
             return traces
 
         reused = seasons()
-        monkeypatch.setattr(market_sim, "season_rng", fresh_rng)
+        monkeypatch.setattr(market_sim, "_positioned", lambda rng, entropy: fresh_rng(entropy))
         assert reused == seasons()
 
     def test_import_does_not_load_numpy_random(self):

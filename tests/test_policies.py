@@ -93,9 +93,9 @@ class TestBaselines:
 
 
 def first_pass(policy):
-    """The prices of ``policy``'s first grid pass."""
-    prices, _ = next(policy.season())
-    return prices
+    """The prices of ``policy``'s first grid pass, run as a block of one."""
+    _, prices, _ = next(policy.season([policy]))
+    return prices[0].tolist()
 
 
 BOXES = [(0.1, 10.0), (2.0, 5.0), (0.5, 1.5), (0.3, 0.7), (1.7, 1234.5)]

@@ -33,18 +33,18 @@ def drive(policy, model, seed):
     """Every segment the policy asks for, answered with Poisson sales: each
     price of a pass gets one draw, in order, and the pass its list."""
     rng = np.random.default_rng(seed)
-    season = policy.season()
+    season = policy.season([policy])  # a block of one
     segments = []
     request = next(season, None)
     while request is not None:
-        prices, duration = request
+        _, prices, duration = request
         sales = []
-        for price in prices:
+        for price in np.asarray(prices)[0]:
             price, duration = float(price), float(duration)
             segments.append((price, duration))
             sales.append(int(rng.poisson(N * model.rate(price) * duration)))
         try:
-            request = season.send(sales)
+            request = season.send((np.array([True]), np.array([sales])))
         except StopIteration:
             request = None
     return segments

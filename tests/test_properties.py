@@ -3,6 +3,7 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from dynpricing.market_sim import (
     _T_EPS,
     P_INF,
     Segment,
+    run_block,
     run_policy,
     season_rng,
 )
@@ -83,14 +85,14 @@ class CountRecorder:
         self.policy = policy
         self.counts = []
 
-    def season(self):
-        inner = self.policy.season()
+    def season(self, block):
+        inner = self.policy.season([self.policy])
         request = next(inner, None)
         while request is not None:
-            sales = yield request
-            self.counts.append(sales)
+            full, sales = yield request
+            self.counts.append(sales[0].tolist())
             try:
-                request = inner.send(sales)
+                request = inner.send((full, sales))
             except StopIteration:
                 request = None
 
@@ -103,15 +105,15 @@ class OnePricePerRequest:
         self.policy = policy
 
     def season(self):
-        inner = self.policy.season()
+        inner = self.policy.season([self.policy])
         request = next(inner, None)
         while request is not None:
-            prices, duration = request
+            _, prices, duration = request
             sales = []
-            for price in prices:
+            for price in np.asarray(prices, dtype=float)[0].tolist():
                 sales.append((yield (price, duration)))
             try:
-                request = inner.send(sales)
+                request = inner.send((np.array([True]), np.array([sales])))
             except StopIteration:
                 request = None
 
@@ -243,3 +245,21 @@ def test_passes_match_the_per_segment_reference(setup):
     assert trace.stockout_time == stockout_time
     assert policy_state(policy) == policy_state(twin)
     assert recorder.counts == full_pass_sales(trace)
+
+
+@PROPERTY_SETTINGS
+@given(season_setups(), st.integers(1, 70))
+def test_block_reps_match_their_solo_reference(setup, reps):
+    # reps run in lockstep, each on its own key, as if each ran alone
+    instance, policy, (seed,) = setup
+    n = instance.market_size
+    block = [copy.deepcopy(policy) for _ in range(reps)]
+    traces = run_block(instance, block, [(seed, n, rep) for rep in range(reps)])
+    for rep, (view, trace) in enumerate(zip(block, traces)):
+        twin = copy.deepcopy(policy)
+        segments, revenue, stockout_time = reference_season(
+            instance, OnePricePerRequest(twin), (seed, n, rep))
+        assert trace.segments == segments
+        assert trace.terminal_revenue == revenue
+        assert trace.stockout_time == stockout_time
+        assert policy_state(view) == policy_state(twin)

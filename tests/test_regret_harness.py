@@ -38,22 +38,29 @@ class TestSeasons:
         ]
         assert len({id(policy) for policy, _ in ran}) == 3
 
-    def test_seasons_is_the_only_caller_of_run_policy(self):
-        # every replicated season in the package keys its stream in one place
-        def calls(tree):
+    def test_seasons_is_the_only_caller_of_the_engine(self):
+        # every replicated season in the package keys its stream in one
+        # place; run_policy, the engine on a block of one, has no caller here
+        def calls(tree, name):
             return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                    and "run_policy" in (getattr(node.func, "id", None),
-                                         getattr(node.func, "attr", None))]
+                    and name in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))]
 
-        found, in_seasons = [], None
+        def body(tree, name):
+            (function,) = [node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == name]
+            return function
+
+        found, expected = [], []
         for path in sorted(pathlib.Path(regret_harness.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
-            found += calls(tree)
+            assert calls(tree, "run_policy") == []
+            found += calls(tree, "run_block")
             if path.stem == "regret_harness":
-                (runner,) = [node for node in tree.body
-                             if isinstance(node, ast.FunctionDef) and node.name == "seasons"]
-                in_seasons = calls(runner)
-        assert len(in_seasons) == 1 and found == in_seasons
+                expected += calls(body(tree, "seasons"), "run_block")
+            if path.stem == "market_sim":
+                expected += calls(body(tree, "run_policy"), "run_block")
+        assert len(expected) == 2 and found == expected
 
 
 class TestEstimate:
@@ -75,6 +82,15 @@ class TestEstimate:
             serial = estimate_regret(*cell, seed=0, workers=1)
             pooled = estimate_regret(*cell, seed=0, workers=2)
             assert serial == pooled
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        # no rep's draws depend on the other reps of its lockstep block
+        cell = BASE.with_market_size(100), PolicyConfig("dpa"), 130
+        points = []
+        for block in (1, 7, 64):
+            monkeypatch.setattr(regret_harness, "_BLOCK", block)
+            points.append(estimate_regret(*cell, seed=0))
+        assert points[0] == points[1] == points[2]
 
     def test_pool_never_exceeds_the_cores(self, monkeypatch):
         built = []
