@@ -41,7 +41,7 @@ from .demand import (
 )
 from .market_sim import poisson_tail_check
 from .policies import PolicyConfig
-from .regret_harness import estimate_regret, seasons, sweep
+from .regret_harness import estimate_regrets, seasons, sweep
 from .lower_bound import (
     Z0,
     evaluate_policy_bounds,
@@ -129,12 +129,12 @@ def criterion_3(seed: int, workers: int) -> CriterionResult:
     reps = 400
     ok = True
     details = []
-    for name, model in _both_instances():
-        instance = ProblemInstance(model, BENCH_X, BENCH_T, n)
-        points = {
-            pol: estimate_regret(instance, PolicyConfig(pol), reps, seed, workers)
-            for pol in ("clairvoyant", "dpa", "single_phase")
-        }
+    policies = ("clairvoyant", "dpa", "single_phase")
+    cells = [(ProblemInstance(model, BENCH_X, BENCH_T, n), PolicyConfig(pol))
+             for _, model in _both_instances() for pol in policies]
+    estimates = iter(estimate_regrets(cells, reps, seed, workers))  # one pool for all six
+    for name, _ in _both_instances():
+        points = dict(zip(policies, estimates))
         gap1 = points["dpa"].mean_regret - points["clairvoyant"].mean_regret
         se1 = math.hypot(points["dpa"].std_error, points["clairvoyant"].std_error)
         gap2 = points["single_phase"].mean_regret - points["dpa"].mean_regret

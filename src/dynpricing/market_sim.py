@@ -16,8 +16,13 @@ engine keeps each rep's clock, inventory, revenue and random stream.
 Once a rep's inventory hits zero, or the generator stops early, the
 remainder of its season is priced at the shut-off price ``P_INF``
 (``math.inf``) with no further policy involvement.  That tail is the
-engine's alone: a pass holds in-box prices only.  A trace keeps one
-record per pass and builds its per-segment view only when read.
+engine's alone: a pass holds in-box prices only.  The engine logs each
+pass as the arrays it ran it with, a posted rows and prices array
+included, so a policy must not write to an array it has posted.  A
+trace's records, one per pass with the shut-off tail last, are built from
+that log the first time any trace of the block reads them, for the whole
+block at once, and its per-segment view only when read.  A caller that
+reads only revenues and stock-out times builds no records.
 ``run_policy`` is the engine on a block of one.
 
 Every rep's policy state ends as it would in a season run alone.  A lone
@@ -62,7 +67,6 @@ built on first use, so importing this module does not import
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -143,13 +147,63 @@ class Pass(NamedTuple):
     sales: list
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
-    """Everything a season produced, one record per pass."""
+class _BlockLog:
+    """A block's passes as the engine ran them: per pass, the rows that ran
+    and their prices, start clocks, clock steps, sales counts and number of
+    prices that ran, as arrays; and each rep's clock at its season's end."""
 
-    passes: tuple
-    terminal_revenue: float
-    stockout_time: float | None
+    def __init__(self, entries, ends, horizon, open_until):
+        self.entries = entries
+        self.ends = ends
+        self.horizon = horizon
+        self.open_until = open_until
+        self.passes = None
+
+    def records(self, rep) -> tuple:
+        """Rep ``rep``'s ``Pass`` records.  The first call builds every rep's
+        and frees the arrays."""
+        if self.passes is None:
+            passes = [[] for _ in self.ends]
+            for rows, prices, start, steps, counts, ran in self.entries:
+                for b, row, t, durations, sold, m in zip(
+                    rows.tolist(), prices.tolist(), start.tolist(), steps.tolist(),
+                    counts.tolist(), ran.tolist(),
+                ):
+                    passes[b].append(Pass(row, t, durations[:m], sold[:m]))
+            for trail, t in zip(passes, self.ends):
+                if t < self.open_until:
+                    # stockout or early policy exit: shut off demand for the tail
+                    trail.append(Pass([P_INF], t, [self.horizon - t], [0]))
+            self.passes = [tuple(trail) for trail in passes]
+            self.entries = None
+        return self.passes[rep]
+
+
+class _Unread(NamedTuple):
+    """Stands in for the passes of rep ``rep`` of a block until first read."""
+
+    log: _BlockLog
+    rep: int
+
+
+class SimulationTrace:
+    """Everything a season produced, one record per pass.  A trace from
+    ``run_block`` builds its records on first read (see the module
+    docstring)."""
+
+    __slots__ = ("_passes", "terminal_revenue", "stockout_time")
+
+    def __init__(self, passes, terminal_revenue: float, stockout_time: float | None):
+        self._passes = passes
+        self.terminal_revenue = terminal_revenue
+        self.stockout_time = stockout_time
+
+    @property
+    def passes(self) -> tuple:
+        passes = self._passes
+        if isinstance(passes, _Unread):
+            passes = self._passes = passes.log.records(passes.rep)
+        return passes
 
     @property
     def segments(self) -> tuple:
@@ -160,6 +214,19 @@ class SimulationTrace:
                 segments.append(Segment(price, t, duration, count))
                 t += duration
         return tuple(segments)
+
+    def _fields(self) -> tuple:
+        return self.passes, self.terminal_revenue, self.stockout_time
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        passes, revenue, out = self._fields()
+        return (f"SimulationTrace(passes={passes!r}, terminal_revenue={revenue!r}, "
+                f"stockout_time={out!r})")
 
 
 def run_block(instance: ProblemInstance, policies, keys) -> list:
@@ -186,14 +253,14 @@ def run_block(instance: ProblemInstance, policies, keys) -> list:
     rngs = [_positioned(rng, key) for rng, key in zip(_slots, keys)]
     # stock is int64: past 2^63 - 1 units it could bind only once the int64
     # sales sums had overflowed
-    stock = np.full(size, min(instance.scaled_inventory, 2**63 - 1), dtype=np.int64)
+    initial = min(instance.scaled_inventory, 2**63 - 1)
+    stock = np.full(size, initial, dtype=np.int64)
     clock = np.zeros(size)
     revenue = np.zeros(size)
     # a season with nothing to sell never asks the policy
-    running = np.full(size, bool(instance.scaled_inventory) and 0.0 < open_until)
+    running = np.full(size, bool(initial) and 0.0 < open_until)
     frozen = ~running  # reps whose policy a season run alone would have stopped
-    passes = [[] for _ in range(size)]
-    stockout_time = [None] * size
+    log = []  # (rows, prices, start, steps, counts, ran) per pass
     season = policies[0].season(policies)
     request = None if frozen.all() else next(season, None)
     while request is not None:
@@ -273,13 +340,7 @@ def run_block(instance: ProblemInstance, policies, keys) -> list:
         revenue[rows] = np.add.accumulate(
             np.column_stack((revenue[rows], prices * counts)), axis=1)[:, -1]
         running[rows] = (stock[rows] > 0) & (clock[rows] < open_until)
-        for b, row, t, durations, counted, m, out, t_end in zip(
-            rows.tolist(), prices.tolist(), start.tolist(), steps.tolist(),
-            counts.tolist(), ran.tolist(), (stock[rows] == 0).tolist(), clock[rows].tolist(),
-        ):
-            passes[b].append(Pass(row, t, durations[:m], counted[:m]))
-            if out:
-                stockout_time[b] = t_end
+        log.append((rows, prices, start, steps, counts, ran))
         # a cut pass stops its rep's policy; a pass that ran in full is sent
         # back, even when it ended the season
         frozen[rows[ran < k]] = True
@@ -293,13 +354,14 @@ def run_block(instance: ProblemInstance, policies, keys) -> list:
             request = season.send((full, sales))
         except StopIteration:
             break
-    traces = []
-    for trail, t, total, out in zip(passes, clock.tolist(), revenue.tolist(), stockout_time):
-        if t < open_until:
-            # stockout or early policy exit: shut off demand for the tail
-            trail.append(Pass([P_INF], t, [T - t], [0]))
-        traces.append(SimulationTrace(tuple(trail), total, out))
-    return traces
+    ends = clock.tolist()
+    # a rep that sold out stopped at the end of the pass that sold its last unit
+    sold_out = (stock == 0) & (initial > 0)
+    block_log = _BlockLog(log, ends, T, open_until)
+    return [
+        SimulationTrace(_Unread(block_log, b), total, t if out else None)
+        for b, (t, total, out) in enumerate(zip(ends, revenue.tolist(), sold_out.tolist()))
+    ]
 
 
 def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:

@@ -12,6 +12,13 @@ draws are the ones it would make alone, whatever the block size.  Two
 policies swept with the same root seed face identical demand randomness
 season for season, and rerunning any sweep reproduces every season bit
 for bit.
+
+Regret cells read only each season's revenue, so they build no pass
+records (see ``market_sim``).  ``estimate_regrets`` runs every block of
+every cell of one call as a task on one pool and regroups the revenues by
+cell in task order; ``estimate_regret``, ``sweep`` and the acceptance
+suite's policy ordering each make one such call, so a call forks its
+workers once, whatever its number of cells.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ class RegretReport:
     warnings: tuple[str, ...] = ()
 
 
-_BLOCK = 64  # reps per lockstep block and per pool task; no season's key depends on it
+_BLOCK = 128  # reps per lockstep block and per pool task; no season's key depends on it
 
 
 def seasons(instance: ProblemInstance, config: PolicyConfig, seed: int, reps):
@@ -68,6 +75,46 @@ def _revenues(block):
     return [trace.terminal_revenue for _, trace in seasons(instance, config, seed, reps)]
 
 
+def estimate_regrets(cells, replications: int, seed: int, workers: int = 1) -> list:
+    """Mean regret of each (instance, config) cell of ``cells``, in order,
+    with a delta-method standard error (J^D is a constant).  Every cell is
+    checked before any season runs, and the blocks of all cells run on one
+    pool."""
+    if replications < 2:
+        raise ValueError("need at least 2 replications")
+    values = []
+    for instance, _ in cells:
+        jd = deterministic_value(
+            instance.demand, instance.inventory, instance.horizon, instance.market_size
+        )
+        if jd <= 0.0:
+            raise UndefinedRegretError(f"deterministic optimum is {jd}; regret is undefined")
+        values.append(jd)
+    starts = range(0, replications, _BLOCK)
+    tasks = [(instance, config, seed, range(i, min(i + _BLOCK, replications)))
+             for instance, config in cells for i in starts]
+    workers = min(workers, os.cpu_count() or 1)  # a pool forks every worker at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_revenues, tasks))
+    else:
+        blocks = list(map(_revenues, tasks))
+    points = []
+    for c, ((instance, _), jd) in enumerate(zip(cells, values)):
+        revenues = np.concatenate(blocks[c * len(starts):(c + 1) * len(starts)])
+        mean_rev = float(revenues.mean())
+        se_rev = float(revenues.std(ddof=1) / math.sqrt(replications))
+        points.append(RegretPoint(
+            n=instance.market_size,
+            mean_regret=1.0 - mean_rev / jd,
+            std_error=se_rev / jd,
+            replications=replications,
+            mean_revenue=mean_rev,
+            deterministic_value=jd,
+        ))
+    return points
+
+
 def estimate_regret(
     instance: ProblemInstance,
     config: PolicyConfig,
@@ -75,31 +122,9 @@ def estimate_regret(
     seed: int,
     workers: int = 1,
 ) -> RegretPoint:
-    """Mean regret with a delta-method standard error (J^D is a constant)."""
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    n = instance.market_size
-    jd = deterministic_value(instance.demand, instance.inventory, instance.horizon, n)
-    if jd <= 0.0:
-        raise UndefinedRegretError(f"deterministic optimum is {jd}; regret is undefined")
-    blocks = [(instance, config, seed, range(replications)[i:i + _BLOCK])
-              for i in range(0, replications, _BLOCK)]
-    workers = min(workers, os.cpu_count() or 1)  # a pool forks every worker at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            revenues = np.concatenate(list(pool.map(_revenues, blocks)))
-    else:
-        revenues = np.concatenate(list(map(_revenues, blocks)))
-    mean_rev = float(revenues.mean())
-    se_rev = float(revenues.std(ddof=1) / math.sqrt(replications))
-    return RegretPoint(
-        n=n,
-        mean_regret=1.0 - mean_rev / jd,
-        std_error=se_rev / jd,
-        replications=replications,
-        mean_revenue=mean_rev,
-        deterministic_value=jd,
-    )
+    """``estimate_regrets`` of one cell."""
+    (point,) = estimate_regrets([(instance, config)], replications, seed, workers)
+    return point
 
 
 def fit_loglog(ns, means):
@@ -129,10 +154,9 @@ def sweep(
     n_values = [int(n) for n in n_values]
     if len(set(n_values)) < 3:
         raise ValueError("need at least 3 distinct market sizes for a slope")
-    points = tuple(
-        estimate_regret(instance.with_market_size(n), config, replications, seed, workers)
-        for n in n_values
-    )
+    points = tuple(estimate_regrets(
+        [(instance.with_market_size(n), config) for n in n_values], replications, seed, workers
+    ))
     warnings = []
     usable = [p for p in points if p.mean_regret > 0.0]
     for p in points:

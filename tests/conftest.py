@@ -19,14 +19,17 @@ def power_law_regret(monkeypatch):
     """
 
     def install(coefficient):
-        def estimate(instance, config, replications, seed, workers=None):
-            n = instance.market_size
-            jd = deterministic_value(
-                instance.demand, instance.inventory, instance.horizon, n
-            )
-            regret = coefficient / math.sqrt(n)
-            return RegretPoint(n, regret, 0.0, replications, jd * (1 - regret), jd)
+        def estimate(cells, replications, seed, workers=None):
+            points = []
+            for instance, _ in cells:
+                n = instance.market_size
+                jd = deterministic_value(
+                    instance.demand, instance.inventory, instance.horizon, n
+                )
+                regret = coefficient / math.sqrt(n)
+                points.append(RegretPoint(n, regret, 0.0, replications, jd * (1 - regret), jd))
+            return points
 
-        monkeypatch.setattr(regret_harness, "estimate_regret", estimate)
+        monkeypatch.setattr(regret_harness, "estimate_regrets", estimate)
 
     return install

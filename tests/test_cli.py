@@ -303,7 +303,8 @@ class TestCommands:
         assert sorted(p.name for p in out.parent.iterdir()) == ["sweep", "sweep.slopes"]
 
     def test_sweep_csv_bytes_do_not_depend_on_workers(self, tmp_path, capsys):
-        # 130 reps make three chunks of the pool's 64, so both workers run seasons
+        # 130 reps make two blocks in each of three cells, all on one pool,
+        # so both workers run seasons
         args = ["sweep", "--n", "100 200 300", "--reps", "130", "--seed", "0"]
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         assert main(args + ["--workers", "1", "--out", str(out1)]) == 0

@@ -379,6 +379,28 @@ class TestBlocks:
         assert fates == {"season end", "stock-out inside a pass", "stock-out on a grid's last price",
                          "stock-out on the commitment", "hand-off"}
 
+    def test_records_are_built_for_the_whole_block_on_first_read(self, monkeypatch):
+        # the block logs its passes as arrays; the first read of any rep's
+        # passes, here the last rep's, builds the records of every rep
+        inst = make_instance(inventory=8.0, n=100)
+        config = PolicyConfig("dpa")
+        keys = [(0, 100, rep) for rep in range(40)]
+        traces = run_block(inst, [make_policy(config, inst) for _ in keys], keys)
+        built = []
+        monkeypatch.setattr(market_sim, "Pass", lambda *fields: built.append(Pass(*fields)) or built[-1])
+        traces[-1].passes
+        first_read = len(built)
+        assert first_read == sum(len(trace.passes) for trace in traces) == len(built)
+        monkeypatch.undo()
+        for trace, key in zip(traces, keys):
+            assert trace == run_policy(inst, make_policy(config, inst), seed=key)
+        # reps that sold out before the season end close with a shut-off tail
+        tailed = [trace for trace in traces if trace.passes[-1].prices == [P_INF]]
+        assert 0 < len(tailed) < len(traces)
+        for trace in tailed:
+            t = trace.stockout_time
+            assert trace.passes[-1] == Pass([P_INF], t, [inst.horizon - t], [0])
+
 
 class TestTailCheck:
     def test_exceedance_is_rare(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynpricing.demand import LinearDemand, ProblemInstance
-from dynpricing import regret_harness
+from dynpricing import market_sim, regret_harness
 from dynpricing.errors import UndefinedRegretError
 from dynpricing.market_sim import run_policy
 from dynpricing.policies import PolicyConfig, make_policy
@@ -18,6 +18,7 @@ from dynpricing.regret_harness import (
     check_revenue_bound,
     csv_meta,
     estimate_regret,
+    estimate_regrets,
     fit_loglog,
     seasons,
     sweep,
@@ -27,6 +28,30 @@ from dynpricing.regret_harness import (
 
 LIN = LinearDemand(30.0, 3.0)
 BASE = ProblemInstance(LIN, 20.0, 1.0, 10)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Pools run their tasks in this process on a 4-core machine; returns
+    the worker count of every pool built."""
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(regret_harness, "ProcessPoolExecutor", InlinePool)
+    return built
 
 
 class TestSeasons:
@@ -75,44 +100,49 @@ class TestEstimate:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        # the reps run in blocks of 64: 65 reps put a block boundary at rep
-        # 64, and 130 make three blocks, so both workers run seasons
-        for reps in (65, 130):
+        # one rep past a block boundary, and two whole blocks and a short
+        # third, so both workers run seasons
+        block = regret_harness._BLOCK
+        for reps in (block + 1, 2 * block + 2):
             cell = BASE.with_market_size(100), PolicyConfig("dpa"), reps
             serial = estimate_regret(*cell, seed=0, workers=1)
             pooled = estimate_regret(*cell, seed=0, workers=2)
             assert serial == pooled
 
     def test_block_size_does_not_change_results(self, monkeypatch):
-        # no rep's draws depend on the other reps of its lockstep block
+        # no rep's draws depend on the other reps of its lockstep block,
+        # nor on a block larger than the cell
         cell = BASE.with_market_size(100), PolicyConfig("dpa"), 130
         points = []
-        for block in (1, 7, 64):
+        for block in (1, 7, 64, 128, 1000):
             monkeypatch.setattr(regret_harness, "_BLOCK", block)
             points.append(estimate_regret(*cell, seed=0))
-        assert points[0] == points[1] == points[2]
+        assert all(point == points[0] for point in points)
 
-    def test_pool_never_exceeds_the_cores(self, monkeypatch):
-        built = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells, chunksize=1):
-                return map(fn, cells)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(regret_harness, "ProcessPoolExecutor", InlinePool)
+    def test_pool_never_exceeds_the_cores(self, inline_pool):
         cell = BASE.with_market_size(100), PolicyConfig("dpa"), 5
         assert estimate_regret(*cell, seed=0, workers=10**6) == estimate_regret(*cell, seed=0)
-        assert built == [4]
+        assert inline_pool == [4]
+
+    def test_regret_cells_build_no_records(self, monkeypatch):
+        # a cell reads each season's revenue only, so no pass record is made
+        built = []
+        monkeypatch.setattr(market_sim, "Pass", lambda *fields: built.append(fields))
+        estimate_regret(BASE.with_market_size(1000), PolicyConfig("dpa"), 70, seed=0)
+        assert built == []
+        _, trace = next(seasons(BASE.with_market_size(1000), PolicyConfig("dpa"), 0, [0]))
+        trace.passes
+        assert built
+
+    def test_every_cell_is_checked_before_any_season_runs(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a season ran")
+
+        monkeypatch.setattr(regret_harness, "run_block", unreachable)
+        cells = [(BASE.with_market_size(100), PolicyConfig("dpa")),
+                 (ProblemInstance(LIN, 0.0, 1.0, 100), PolicyConfig("dpa"))]
+        with pytest.raises(UndefinedRegretError):
+            estimate_regrets(cells, 5, seed=0)
 
     def test_zero_value_benchmark_rejected(self):
         empty = ProblemInstance(LIN, 0.0, 1.0, 100)
@@ -147,6 +177,17 @@ class TestSweep:
         assert report.r_squared == pytest.approx(1.0, abs=1e-12)
         assert report.warnings == ()
         assert [p.n for p in report.per_n] == [100, 1000, 10000]
+
+    def test_sweep_runs_every_cell_on_one_pool(self, inline_pool):
+        # 130 reps are no whole number of blocks; each point is its cell's
+        # estimate alone, so the revenues were regrouped by n
+        args = BASE, PolicyConfig("dpa"), [100, 200, 300], 130
+        report = sweep(*args, seed=0, workers=2)
+        assert inline_pool == [2]
+        assert report == sweep(*args, seed=0, workers=1)
+        assert report.per_n == tuple(
+            estimate_regret(BASE.with_market_size(n), PolicyConfig("dpa"), 130, seed=0)
+            for n in (100, 200, 300))
 
     def test_needs_three_market_sizes(self):
         with pytest.raises(ValueError):
