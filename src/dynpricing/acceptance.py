@@ -10,7 +10,7 @@ as an honest red light: with the polylog factors stripped from the
 learning durations (the configuration every other benchmark here uses),
 each interval shrink leaves about one standard deviation of slack between
 the estimate noise and the containment margin, so the all-iterations
-containment frequency is 0.775 (linear) and 0.655 (exponential) at seed 0,
+containment frequency is 0.775 (linear) and 0.645 (exponential) at seed 0,
 not 0.95.  Restoring the polylog factors would fix the statistics but
 makes the first learning period longer than the whole season for every
 reachable market size.  See the repository notes for the measured landscape.
@@ -200,8 +200,9 @@ def criterion_6(seed: int, workers: int) -> CriterionResult:
     reps = 10**4
     n = 10**4
     price, duration = 5.0, 0.01
-    # a season as long as the one segment under test: its first and only
-    # draw is the segment's count, from the stream of key (seed, n, rep)
+    # a season as long as the one segment under test, so each rep's one
+    # draw is its count: a block of reps draws them in turn from the stream
+    # of key (seed, n, first rep)
     instance = ProblemInstance(LINEAR, BENCH_X, duration, n)
     mu = n * LINEAR.rate(price) * duration
     counts = np.array([
@@ -244,10 +245,9 @@ def criterion_7(seed: int, workers: int) -> CriterionResult:
         details.append(
             f"{config.name}: K={report.K_hat:.3f} "
             f"info {report.info_cost_lhs:.3f} <= {report.info_cost_rhs:.3f}"
-            f"+{report.info_cost_slack:.3f} "
+            f"+{report.info_cost_slack:.3f} {'ok' if report.info_cost_pass else 'VIOLATED'} "
             f"floor {report.floor_lhs:.4f} >= {report.floor_rhs:.1e}"
-            f"-{report.floor_slack:.1e} "
-            f"{'ok' if report.passed else 'VIOLATED'}"
+            f"-{report.floor_slack:.1e} {report.floor_verdict}"
         )
     return _timed(7, "worst-case bound checks", ok, "; ".join(details), t0)
 

@@ -319,7 +319,7 @@ def cmd_lowerbound(config: ExperimentConfig, stdout) -> int:
             f"information cost: {r.info_cost_lhs!r} <= {r.info_cost_rhs!r}"
             f" + {r.info_cost_slack!r} -> {'ok' if r.info_cost_pass else 'VIOLATED'}\n"
             f"regret floor: {r.floor_lhs!r} >= {r.floor_rhs!r}"
-            f" - {r.floor_slack!r} -> {'ok' if r.floor_pass else 'VIOLATED'}",
+            f" - {r.floor_slack!r} -> {r.floor_verdict}",
             file=stdout,
         )
     if config.out:

@@ -34,6 +34,10 @@ class DemandModel(ABC):
     def _rate(self, p: float) -> float:
         """Rate at an in-domain numeric price."""
 
+    def _rates(self, prices: np.ndarray) -> np.ndarray:
+        """``_rate`` at each of an array of in-domain prices."""
+        return np.array(list(map(self._rate, prices.ravel().tolist()))).reshape(prices.shape)
+
     def rate(self, p) -> float:
         p = float(p)
         if not (self.price_floor - _PRICE_TOL <= p <= self.price_ceil + _PRICE_TOL):
@@ -82,6 +86,9 @@ class LinearDemand(DemandModel):
     def _rate(self, p):
         return self.a - self.b * p
 
+    def _rates(self, prices):
+        return self.a - self.b * prices
+
 
 class WorstCaseLinear(LinearDemand):
     """The hard linear family lambda(p; z) = 1/2 + z - z p on [1/2, 3/2].
@@ -111,6 +118,9 @@ class ExponentialDemand(DemandModel):
 
     def _rate(self, p):
         return self.a * math.exp(-self.b * p)
+
+    def _rates(self, prices):
+        return self.a * np.exp(-self.b * prices)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ price or a commitment is a pass of one price.  The engine sends back
 sales counts.  A rep whose pass a stock-out or the season end cuts short
 is done, and so is a rep whose full pass ended its season; the policy
 then drops it, and a pass that still names it runs without it.  The
-engine keeps each rep's clock, inventory, revenue and random stream.
+engine keeps each rep's clock, inventory and revenue, and the block's
+random stream.
 Once a rep's inventory hits zero, or the generator stops early, the
 remainder of its season is priced at the shut-off price ``P_INF``
 (``math.inf``) with no further policy involvement.  That tail is the
@@ -25,43 +26,41 @@ block at once, and its per-segment view only when read.  A caller that
 reads only revenues and stock-out times builds no records.
 ``run_policy`` is the engine on a block of one.
 
-Every rep's policy state ends as it would in a season run alone.  A lone
-season stops its policy at a pass cut short, unsent, or at the first pass
-the policy posts once the season is over, discarded.  The engine freezes
-each rep at that same point and sends until the generator stops or every
-rep is frozen; a pass that names only frozen reps runs empty.  Each pass
-computes its clock steps, rates, means, stock caps and revenue with array
-operations over the rows, in the order of operations of one season run
-alone, so every count and float is the one a lone season gives.  Rates
-come from the model's ``_rate`` one price at a time: numpy's own exp
-differs from ``math.exp`` in the last bit for some arguments.
+Every rep's policy state ends as it would in a season run alone on the
+same draws.  A lone season stops its policy at a pass cut short, unsent,
+or at the first pass the policy posts once the season is over, discarded.
+The engine freezes each rep at that same point and sends until the
+generator stops or every rep is frozen; a pass that names only frozen
+reps runs empty.  Each pass computes its clock steps, rates, means, stock
+caps and revenue with array operations over the rows, in the order of
+operations of one season run alone.  Rates come from the model's array
+method ``_rates``, one call per pass.
 
-Randomness: each season carries a key K of 1 to 4 words, each in
-[0, 2^64); ``regret_harness.seasons`` keys every replicated season
-(seed, n, rep).  Zero-padded to (K0, K1, K2, K3), it keys one
-counter-based stream (Salmon et al., "Parallel Random Numbers: As Easy as
-1, 2, 3", SC'11): Philox4x64 with key (K0, K1) and a counter starting at
-(0, 0, K2, K3), that is
+Randomness: each block carries a key K of 1 to 4 words, each in
+[0, 2^64); ``regret_harness.seasons`` keys a block of replicated seasons
+by its first season's key (seed, n, first rep).  Zero-padded to
+(K0, K1, K2, K3), it keys one counter-based stream (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): Philox4x64 with
+key (K0, K1) and a counter starting at (0, 0, K2, K3), that is
 ``Generator(Philox(key=K0 + 2**64 * K1, counter=2**128 * K2 + 2**192 * K3))``.
-The season draws its segments' sales from it in order, so within a
-season a draw depends on the draws before it; zero-mean segments draw
-nothing, and nothing after a stock-out matters.  Running in a block
-leaves every season's stream as it is: each rep draws its row of a pass
-from its own stream, with one array ``poisson`` call for a long row and
-scalar calls, which stop at the stock-out, for a short one.  A season
-uses fewer than 2^128 blocks of the counter, so distinct keys never share
-a block, and no season's draws depend on another's, on the block it runs
-in, on the order seasons run in, or on the worker count.
+Each pass draws the sales of its whole (m, k) mean matrix from that
+stream with one ``poisson`` call, in row-major order; zero-mean segments
+draw nothing, and draws past a rep's stock-out are drawn and discarded by
+the stock cap.  Only a mean past numpy's limit makes the pass draw one
+price at a time, stopping each row at its stock-out.  So a rep's draws
+depend on the draws before it in its block, and on its block-mates, but
+not on other blocks, the order blocks run in, or the worker count.  A
+block of one draws exactly its season's stream, so ``run_policy`` is one
+keyed season.  A block uses fewer than 2^128 blocks of the counter, so
+distinct keys never share a counter block.
 
-Generators are reused, not built per season: positioning one at the start
-of a key's stream through its public state setter costs a fraction of
-building a fresh ``Philox`` for each of thousands of short seasons.
-``season_rng`` positions one generator per process, and ``run_block``
-positions one per block slot, reused from block to block, for each rep at
-its season's start.  A positioned generator is valid until it is
-positioned again and must not be shared across threads.  Generators are
-built on first use, so importing this module does not import
-``numpy.random``.
+The generator is reused, not built per block: ``season_rng`` positions
+one generator per process at the start of a key's stream through its
+public state setter, which costs a fraction of building a fresh
+``Philox`` for each of thousands of short seasons, and ``run_block``
+draws from it.  A positioned generator is valid until it is positioned
+again and must not be shared across threads.  It is built on first use,
+so importing this module does not import ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -77,9 +76,6 @@ from .errors import PolicyProtocolError
 P_INF = math.inf  # the shut-off price; fails every price box check
 _T_EPS = 1e-12
 _KEY_WORDS = 4
-# a pass row of more prices draws them in one array call: numpy's array
-# ``poisson`` costs about a dozen scalar calls in argument checks
-_ARRAY_DRAWS = 12
 
 
 def _as_entropy(seed) -> tuple:
@@ -95,13 +91,6 @@ def _as_entropy(seed) -> tuple:
 
 
 _rng = None  # season_rng's generator, built on its first call
-_slots = []  # run_block's generators, one per block slot, built on first use
-
-
-def _generator() -> np.random.Generator:
-    from numpy.random import Generator, Philox
-
-    return Generator(Philox(0))
 
 
 def _positioned(rng: np.random.Generator, entropy) -> np.random.Generator:
@@ -126,7 +115,9 @@ def season_rng(entropy) -> np.random.Generator:
     for a key outside the domain."""
     global _rng
     if _rng is None:
-        _rng = _generator()
+        from numpy.random import Generator, Philox
+
+        _rng = Generator(Philox(0))
     return _positioned(_rng, entropy)
 
 
@@ -229,9 +220,9 @@ class SimulationTrace:
                 f"stockout_time={out!r})")
 
 
-def run_block(instance: ProblemInstance, policies, keys) -> list:
-    """Run one season per policy on ``instance`` in lockstep, policy i on
-    the stream of season key ``keys[i]``; return their traces in order.
+def run_block(instance: ProblemInstance, policies, key) -> list:
+    """Run one season per policy on ``instance`` in lockstep, all drawing
+    from the stream of key ``key``; return their traces in order.
 
     ``policies`` is a block of policies made from one config, and
     ``policies[0].season(policies)`` the generator that runs it (see the
@@ -240,17 +231,14 @@ def run_block(instance: ProblemInstance, policies, keys) -> list:
     policy may post.  The segment that crosses the season end is clamped to
     it.  A key outside the domain raises ValueError before any season runs.
     """
+    rng = season_rng(key)
     model = instance.demand
-    rate = model._rate
     floor, ceil = model.price_floor, model.price_ceil
     T = instance.horizon
     n = instance.market_size
     open_until = T - _T_EPS
     lowest, highest = floor - _PRICE_TOL, ceil + _PRICE_TOL
     size = len(policies)
-    while len(_slots) < size:
-        _slots.append(_generator())
-    rngs = [_positioned(rng, key) for rng, key in zip(_slots, keys)]
     # stock is int64: past 2^63 - 1 units it could bind only once the int64
     # sales sums had overflowed
     initial = min(instance.scaled_inventory, 2**63 - 1)
@@ -305,28 +293,19 @@ def run_block(instance: ProblemInstance, policies, keys) -> list:
         runs[:, 1:] = after[:, :-1] < open_until
         # a price inside the slack sells at the box edge
         priced = np.clip(prices, floor, ceil) if lo < floor or hi > ceil else prices
-        rates = np.array(list(map(rate, priced.ravel().tolist()))).reshape(prices.shape)
-        means = n * rates * steps
+        means = n * model._rates(priced) * steps
         # zero-mean segments draw nothing, and neither do negative rates
         means = np.where(runs & (means > 0), means, 0.0)
         have = stock[rows]
-        draws = []
-        # each rep draws its row from its own stream, in price order
-        for b, mu, units in zip(rows.tolist(), means, have.tolist()):
-            poisson = rngs[b].poisson
-            if k > _ARRAY_DRAWS:
-                try:
-                    draws.append(poisson(mu))
-                    continue
-                except ValueError:
-                    pass  # a mean past numpy's limit: draw one at a time
-            row = []
-            for x in mu.tolist():
-                count = poisson(x) if x > 0 and units > 0 else 0  # none after a stock-out
-                units -= count
-                row.append(count)
-            draws.append(row)
-        draws = np.array(draws, dtype=np.int64).reshape(prices.shape)
+        try:
+            draws = rng.poisson(means)  # row-major, one call for the pass
+        except ValueError:  # a mean past numpy's limit: draw one at a time
+            draws = np.zeros(prices.shape, dtype=np.int64)
+            for row, (mu, units) in enumerate(zip(means.tolist(), have.tolist())):
+                for j, x in enumerate(mu):
+                    if x > 0 and units > 0:  # none after a stock-out
+                        draws[row, j] = count = rng.poisson(x)
+                        units -= count
         # sales are capped by the stock left before each price
         sold_before = np.cumsum(draws, axis=1) - draws
         counts = np.minimum(draws, np.maximum(have[:, None] - sold_before, 0))
@@ -368,7 +347,7 @@ def run_policy(instance: ProblemInstance, policy, seed) -> SimulationTrace:
     """One season of ``policy`` on the stream of key ``seed``: a block of
     one.  Identical (instance, policy behavior, seed) triples reproduce the
     trace exactly."""
-    (trace,) = run_block(instance, [policy], [seed])
+    (trace,) = run_block(instance, [policy], seed)
     return trace
 
 

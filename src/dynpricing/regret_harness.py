@@ -5,13 +5,13 @@ The deterministic optimum is an upper bound on every policy's expected
 revenue, so regret estimates are non-negative up to Monte Carlo noise.
 
 Every replicated season in the package runs through ``seasons``, the one
-place a season's key (root seed, market size, rep index) is formed.  It
+place a stream's key (root seed, market size, rep index) is formed.  It
 runs the reps in lockstep blocks of ``_BLOCK`` through the block engine
-(``market_sim.run_block``), and each season keeps its own stream, so its
-draws are the ones it would make alone, whatever the block size.  Two
-policies swept with the same root seed face identical demand randomness
-season for season, and rerunning any sweep reproduces every season bit
-for bit.
+(``market_sim.run_block``), and each block draws from one stream, keyed
+by its first rep: (seed, n, first rep).  So ``_BLOCK`` is part of the
+key: a season's draws depend on its block-mates, but not on the worker
+count, since every pool task is one such block.  Rerunning any sweep
+reproduces every season bit for bit.
 
 Regret cells read only each season's revenue, so they build no pass
 records (see ``market_sim``).  ``estimate_regrets`` runs every block of
@@ -55,19 +55,21 @@ class RegretReport:
     warnings: tuple[str, ...] = ()
 
 
-_BLOCK = 128  # reps per lockstep block and per pool task; no season's key depends on it
+# reps per lockstep block and per pool task; it keys the streams: a block
+# of reps draws from the stream of its first rep's key
+_BLOCK = 128
 
 
 def seasons(instance: ProblemInstance, config: PolicyConfig, seed: int, reps):
     """Yield (policy, trace) for each rep index in ``reps``: a fresh policy,
-    run on the stream of key (seed, n, rep).  The reps run in lockstep
-    blocks of ``_BLOCK``; each season's draws are its own."""
+    run in lockstep blocks of ``_BLOCK`` consecutive entries of ``reps``,
+    each block on the stream of key (seed, n, its first rep)."""
     n = instance.market_size
     reps = list(reps)
     for i in range(0, len(reps), _BLOCK):
         block = reps[i:i + _BLOCK]
         policies = [make_policy(config, instance) for _ in block]
-        yield from zip(policies, run_block(instance, policies, [(seed, n, rep) for rep in block]))
+        yield from zip(policies, run_block(instance, policies, (seed, n, block[0])))
 
 
 def _revenues(block):

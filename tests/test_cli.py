@@ -323,6 +323,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "information cost" in out and "regret floor" in out
+        assert "-> n/a (clairvoyant reads z)" in out  # the floor is for policies blind to z
 
     def test_lowerbound_reports_every_n(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"
@@ -341,7 +342,7 @@ class TestCommands:
 
         def fail_at_large_n(config, n, replications, seed):
             report = evaluate(config, n, replications, seed)
-            return dataclasses.replace(report, floor_pass=n < 10**5)
+            return dataclasses.replace(report, info_cost_pass=n < 10**5)
 
         monkeypatch.setattr(cli, "evaluate_policy_bounds", fail_at_large_n)
         argv = ["lowerbound", "--policy", "clairvoyant", "--reps", "5", "--seed", "0"]

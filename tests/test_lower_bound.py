@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from dynpricing.demand import solve_pu
+from dynpricing.demand import LinearDemand, ProblemInstance, solve_pu
 from dynpricing.errors import PriceDomainError
 from dynpricing.lower_bound import (
     Z0,
     BoundReport,
+    _expected_sales,
     evaluate_policy_bounds,
+    expected_revenue,
     kl_path,
     pD_of_z,
     pD_matches_solver,
@@ -20,7 +23,7 @@ from dynpricing.lower_bound import (
 )
 from dynpricing.market_sim import P_INF, Pass, SimulationTrace, run_policy
 from dynpricing.policies import FixedPricePolicy, PolicyConfig
-from dynpricing.regret_harness import csv_meta
+from dynpricing.regret_harness import csv_meta, seasons
 
 
 def trace_of(*passes):
@@ -97,6 +100,47 @@ class TestKlPath:
                 assert kl_path(flat_trace(p), 100, Z0, z) >= 0.0
 
 
+class TestExpectedRevenue:
+    @staticmethod
+    def direct(mu, stock):
+        """E[min(Poisson(mu), stock)] as sum over j < stock of P(X > j)."""
+        total, cdf, pmf = 0.0, 0.0, math.exp(-mu)
+        for j in range(stock):
+            cdf += pmf
+            total += 1.0 - cdf
+            pmf *= mu / (j + 1)
+        return total
+
+    @pytest.mark.parametrize("mu", [0.4, 3.0, 25.0, 400.0])
+    def test_capped_mean_matches_the_direct_sum(self, mu):
+        for stock in sorted({1, 2, int(mu / 2) + 1, int(mu), int(mu) + 1, int(mu + 3 * mu**0.5) + 1}):
+            assert _expected_sales(mu, stock) == pytest.approx(self.direct(mu, stock), rel=1e-10)
+
+    def test_ample_stock_gives_the_mean_exactly(self):
+        assert _expected_sales(500.0, 2000) == 500.0
+        assert _expected_sales(0.0, 10) == 0.0 and _expected_sales(5.0, 0) == 0.0
+
+    def test_stock_runs_down_over_segments_and_the_tail_is_free(self):
+        inst = ProblemInstance(LinearDemand(30.0, 3.0), 0.04, 1.0, 100)  # 4 units
+        trace = trace_of(Pass([5.0, 6.0], 0.0, [0.001, 0.001], [1, 3]),
+                         Pass([P_INF], 0.002, [0.998], [0]))
+        expected = 5.0 * _expected_sales(100 * 15.0 * 0.001, 4) + 6.0 * _expected_sales(
+            100 * 12.0 * 0.001, 3)
+        assert expected_revenue(trace, inst) == expected
+
+    def test_is_unbiased_where_stock_binds(self):
+        # mean demand 1500 against 1500 units: about half the seasons sell out
+        inst = ProblemInstance(LinearDemand(30.0, 3.0), 15.0, 1.0, 100)
+        traces = [trace for _, trace in seasons(inst, PolicyConfig("fixed", price=5.0), 0,
+                                                range(2000))]
+        realized = np.array([trace.terminal_revenue for trace in traces])
+        assert 0.3 < np.mean([trace.stockout_time is not None for trace in traces]) < 0.7
+        estimate = expected_revenue(traces[0], inst)
+        assert estimate == 5.0 * _expected_sales(1500.0, 1500)
+        se = realized.std(ddof=1) / math.sqrt(len(realized))
+        assert abs(realized.mean() - estimate) <= 4.0 * se
+
+
 class TestFloor:
     def test_floor_value(self):
         assert regret_lower_bound(1) == pytest.approx(1.0 / 6912.0, abs=1e-18)
@@ -109,11 +153,22 @@ class TestFloor:
 
 class TestBoundChecks:
     def test_clairvoyant_never_pays_information_cost(self):
-        # it posts the uninformative price p_D(1/2) = 1, so K = 0 exactly
+        # it posts the uninformative price p_D(1/2) = 1, so K = 0 exactly;
+        # it never stocks out, so its expected revenue is J_D exactly
         report = evaluate_policy_bounds(PolicyConfig("clairvoyant"), 10**3, 30, seed=0)
         assert report.K_hat == 0.0
         assert report.K_se == 0.0
+        assert report.R_hat_z0 == 0.0 and report.R_se_z0 == 0.0
+        assert report.info_cost_pass
         assert report.passed
+
+    def test_clairvoyant_floor_verdict_is_not_applicable(self):
+        # it reads z, and the floor holds only for policies that do not
+        report = evaluate_policy_bounds(PolicyConfig("clairvoyant"), 10**4, 50, seed=0)
+        assert not report.floor_applies and not report.floor_pass and report.passed
+        assert report.floor_verdict == "n/a (clairvoyant reads z)"
+        single = evaluate_policy_bounds(PolicyConfig("single_phase"), 10**4, 50, seed=0)
+        assert single.floor_applies and single.floor_verdict == "ok"
 
     def test_fixed_informative_price_pays_measurable_cost(self):
         report = evaluate_policy_bounds(PolicyConfig("fixed", price=1.5), 10**3, 30, seed=0)
@@ -131,6 +186,10 @@ class TestBoundChecks:
         assert BoundReport(**base, info_cost_pass=True, floor_pass=True).passed
         assert not BoundReport(**base, info_cost_pass=True, floor_pass=False).passed
         assert not BoundReport(**base, info_cost_pass=False, floor_pass=True).passed
+        # a floor that does not apply leaves the information check alone
+        assert BoundReport(**base, info_cost_pass=True, floor_pass=False, floor_applies=False).passed
+        assert not BoundReport(**base, info_cost_pass=False, floor_pass=True,
+                               floor_applies=False).passed
 
     def test_csv_layout(self, tmp_path):
         report = evaluate_policy_bounds(PolicyConfig("clairvoyant"), 10**3, 5, seed=0)

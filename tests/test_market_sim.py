@@ -128,10 +128,11 @@ class TestSegmentDraws:
         assert policy.seen_sales == [[2000]]
         assert trace.segments[0].sales == 2000
 
-    @pytest.mark.parametrize("k", [2, 13])  # scalar draws and one array call
+    @pytest.mark.parametrize("k", [2, 13])
     def test_no_draw_after_a_stock_out(self, k):
         # 9 units sell out on the first price; every later price's mean is
-        # past numpy's Poisson limit, so drawing it would raise
+        # past numpy's Poisson limit, so the pass's array draw raises and
+        # the one-at-a-time fallback must stop at the stock-out
         inst = ProblemInstance(LIN, 1e-18, 1.0, 2**63)
         trace = run_policy(inst, ScriptedPolicy([([5.0] + [0.1] * (k - 1), 0.05)]), seed=(0,))
         assert trace.passes[0] == Pass([5.0] + [0.1] * (k - 1), 0.0, [0.05], [9])
@@ -280,16 +281,15 @@ class TestPasses:
         class RecordingLinear(LinearDemand):
             priced = []
 
-            def _rate(self, p):
-                self.priced.append(p)
-                return super()._rate(p)
+            def _rates(self, prices):
+                self.priced.append(prices.tolist())
+                return super()._rates(prices)
 
         model = RecordingLinear(30.0, 3.0)
-        model.priced.clear()  # drop the prices the constructor's checks used
         inst = ProblemInstance(model, 20.0, 1.0, 1000)
         prices = [0.1 - 5e-10, 5.0, 10.0 + 5e-10]
         trace = run_policy(inst, ScriptedPolicy([(prices, 0.25)]), seed=(0,))
-        assert model.priced == [0.1, 5.0, 10.0]
+        assert model.priced == [[[0.1, 5.0, 10.0]]]  # one array call for the pass
         assert [seg.price for seg in trace.segments[:3]] == prices
 
     @pytest.mark.parametrize("request_", [
@@ -316,54 +316,79 @@ class TestPasses:
 
 
 class TestBlocks:
-    """Seasons run in lockstep blocks, each as if it ran alone."""
+    """Seasons run in lockstep blocks on one stream; given its draws, each
+    rep runs as if it ran alone."""
 
-    def test_reps_that_sold_out_drop_out_of_later_passes(self):
+    def test_a_block_draws_each_pass_in_row_major_order(self):
+        # with stock to spare every price runs, so each pass's counts are
+        # one draw of its whole mean matrix from the block key's stream
+        inst = make_instance(inventory=50.0)
+        script = [([5.0, 6.0, 7.0], 0.25), ([4.0], 0.25)]
+        traces = run_block(inst, [BlockScript(script) for _ in range(3)], (0, 1000, 6))
+        rng = fresh_rng((0, 1000, 6))
+        first = rng.poisson(np.tile(np.array([15.0, 12.0, 9.0]) * 1000 * 0.25, (3, 1)))
+        second = rng.poisson(np.full((3, 1), 18.0 * 1000 * 0.25))
+        assert [list(trace.passes[0].sales) for trace in traces] == first.tolist()
+        assert [list(trace.passes[1].sales) for trace in traces] == second.tolist()
+
+    def test_a_block_of_one_is_its_keys_stream(self):
+        # segment by segment, a lone season's counts are the key's stream
+        inst = make_instance(inventory=100.0, n=100)
+        config = PolicyConfig("dpa")
+        (trace,) = run_block(inst, [make_policy(config, inst)], (3, 100, 9))
+        assert trace == run_policy(inst, make_policy(config, inst), seed=(3, 100, 9))
+        assert trace.stockout_time is None and len(trace.segments) > 10
+        rng = fresh_rng((3, 100, 9))
+        means = [100 * LIN.rate(seg.price) * seg.duration for seg in trace.segments]
+        assert [seg.sales for seg in trace.segments] == [
+            int(rng.poisson(mean)) if mean > 0 else 0 for mean in means]
+
+    def test_reps_that_sold_out_drop_out_of_later_passes(self, monkeypatch):
         # 2000 units against a mean of 2000 over the first pass: some reps
         # sell out on its last price, and the second pass runs for the rest,
         # whose counts come back on their own rows
         inst = make_instance(inventory=2.0)
         script = [([5.0, 5.0], 1 / 15), ([6.0], 0.25)]
         block = [BlockScript(script) for _ in range(8)]
-        traces = run_block(inst, block, [(0, 1000, rep) for rep in range(8)])
-        for rep, trace in enumerate(traces):
-            assert trace == run_policy(inst, BlockScript(script), seed=(0, 1000, rep))
+        traces = run_block(inst, block, (0, 1000, 0))
+        for trace in traces:
+            assert trace == solo_replay(monkeypatch, inst, BlockScript(script), trace)
         (first_full, _), (full, sales) = block[0].sent
         sold_out = np.array([trace.stockout_time == 2 / 15 for trace in traces])
-        assert first_full.all() and 0 < sold_out.sum() < 7 and not sold_out[-1]
+        assert first_full.all() and 0 < sold_out.sum() < len(block)
         assert (full == ~sold_out).all()
         assert [row[0] for row in sales[full].tolist()] == [
             trace.passes[1].sales[0] for trace, out in zip(traces, sold_out) if not out]
 
-    def test_groups_after_the_last_live_one_still_run(self):
-        # reps 0 and 5 sell 75 units at each 9.9; the others sell out on
-        # the first pass's 5.0 and so finish with it.  Their groups come
+    def test_groups_after_the_last_live_one_still_run(self, monkeypatch):
+        # reps 0 and 5 sell about 75 units at each 9.9; the others sell out
+        # on the first pass's 5.0 and so finish with it.  Their groups come
         # after the live group's commitment, which ends every season, and
         # each must still set its reps' price as a lone season would
         inst = make_instance(inventory=2.0)
         plan = [([9.9, 9.9], 0), ([9.9, 5.0], 1), ([9.9, 5.0], 1),
                 ([9.9, 5.0], 2), ([9.9, 5.0], 2), ([9.9, 9.9], 0)]
         block = [GroupedCommits(*rep) for rep in plan]
-        traces = run_block(inst, block, [(0, 1000, rep) for rep in range(len(plan))])
+        traces = run_block(inst, block, (0, 1000, 0))
         for rep, (policy, trace) in enumerate(zip(block, traces)):
             solo = GroupedCommits(*plan[rep])
-            assert trace == run_policy(inst, solo, seed=(0, 1000, rep))
+            assert trace == solo_replay(monkeypatch, inst, solo, trace)
             assert vars(policy) == vars(solo)
             assert policy.applied_price == 6.0 + plan[rep][1]
         assert [trace.stockout_time for trace in traces[1:5]] == [0.5] * 4
 
-    def test_mixed_fates_match_solo_seasons(self):
+    def test_mixed_fates_match_solo_seasons(self, monkeypatch):
         # tight stock: within one block of 64 dpa reps some stock out inside
         # a pass, some on a pass's last price, some hand off to the
         # constrained track and some reach the season end with stock left
         inst = make_instance(inventory=8.0, n=100)
         config = PolicyConfig("dpa")
         block = [make_policy(config, inst) for _ in range(64)]
-        traces = run_block(inst, block, [(0, 100, rep) for rep in range(64)])
+        traces = run_block(inst, block, (0, 100, 0))
         fates = set()
-        for rep, (policy, trace) in enumerate(zip(block, traces)):
+        for policy, trace in zip(block, traces):
             solo = make_policy(config, inst)
-            assert trace == run_policy(inst, solo, seed=(0, 100, rep))
+            assert trace == solo_replay(monkeypatch, inst, solo, trace)
             assert vars(policy) == vars(solo)
             last = [p for p in trace.passes if P_INF not in p.prices][-1]
             if trace.stockout_time is None:
@@ -384,22 +409,41 @@ class TestBlocks:
         # passes, here the last rep's, builds the records of every rep
         inst = make_instance(inventory=8.0, n=100)
         config = PolicyConfig("dpa")
-        keys = [(0, 100, rep) for rep in range(40)]
-        traces = run_block(inst, [make_policy(config, inst) for _ in keys], keys)
+        traces = run_block(inst, [make_policy(config, inst) for _ in range(40)], (0, 100, 0))
         built = []
-        monkeypatch.setattr(market_sim, "Pass", lambda *fields: built.append(Pass(*fields)) or built[-1])
-        traces[-1].passes
-        first_read = len(built)
-        assert first_read == sum(len(trace.passes) for trace in traces) == len(built)
-        monkeypatch.undo()
-        for trace, key in zip(traces, keys):
-            assert trace == run_policy(inst, make_policy(config, inst), seed=key)
+        with monkeypatch.context() as patch:
+            patch.setattr(market_sim, "Pass", lambda *fields: built.append(Pass(*fields)) or built[-1])
+            traces[-1].passes
+            first_read = len(built)
+            assert first_read == sum(len(trace.passes) for trace in traces) == len(built)
+        for trace in traces:
+            assert trace == solo_replay(monkeypatch, inst, make_policy(config, inst), trace)
         # reps that sold out before the season end close with a shut-off tail
         tailed = [trace for trace in traces if trace.passes[-1].prices == [P_INF]]
         assert 0 < len(tailed) < len(traces)
         for trace in tailed:
             t = trace.stockout_time
             assert trace.passes[-1] == Pass([P_INF], t, [inst.horizon - t], [0])
+
+
+def solo_replay(monkeypatch, instance, policy, trace):
+    """``policy``'s season run alone on ``instance``, each pass drawing the
+    sales ``trace`` recorded for it.  A capped sale replayed as a draw
+    reproduces itself, and a price a stock-out or the season end cut off
+    draws 0."""
+    passes = iter(trace.passes)
+
+    class Replay:
+        def poisson(self, means):
+            sales = next(passes).sales
+            draws = np.zeros(means.shape, dtype=np.int64)
+            draws[0, :len(sales)] = sales
+            assert not draws[means == 0].any()  # a zero mean draws nothing
+            return draws
+
+    with monkeypatch.context() as patch:
+        patch.setattr(market_sim, "season_rng", lambda key: Replay())
+        return run_policy(instance, policy, seed=0)
 
 
 class TestTailCheck:

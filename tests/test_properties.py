@@ -118,17 +118,17 @@ class OnePricePerRequest:
                 request = None
 
 
-def reference_season(instance, policy, seed):
+def reference_season(instance, policy, draw):
     """A per-segment simulator, the oracle ``run_policy`` must match: one
     (price, duration) request per segment, each count sent back right after
-    its segment.  Returns (segments, revenue, stockout time)."""
+    its segment.  ``draw(mean, k)`` gives segment k's demand for a positive
+    mean.  Returns (segments, revenue, stockout time)."""
     model = instance.demand
     T = instance.horizon
     n = instance.market_size
     open_until = T - _T_EPS
     lowest = model.price_floor - _PRICE_SLACK
     highest = model.price_ceil + _PRICE_SLACK
-    rng = season_rng(seed)
     stock = instance.scaled_inventory
     clock = 0.0
     revenue = 0.0
@@ -146,7 +146,7 @@ def reference_season(instance, policy, seed):
         duration = min(max(0.0, duration), T - clock)
         mean = n * model.rate(price) * duration
         if mean > 0:
-            sales = min(int(rng.poisson(mean)), stock)
+            sales = min(draw(mean, len(segments)), stock)
             stock -= sales
         else:
             sales = 0
@@ -172,6 +172,18 @@ POLICY_STATE = ("iterations", "entered_step3", "applied_price", "truncated_learn
 
 def policy_state(policy):
     return tuple(getattr(policy, name, None) for name in POLICY_STATE)
+
+
+def stream(seed):
+    """``reference_season``'s draws from the stream of key ``seed``."""
+    rng = season_rng(seed)
+    return lambda mean, k: int(rng.poisson(mean))
+
+
+def replay(trace):
+    """``reference_season``'s draws replayed from ``trace``'s sales: a capped
+    sale replayed as a draw reproduces itself."""
+    return lambda mean, k: trace.segments[k].sales
 
 
 def full_pass_sales(trace):
@@ -239,7 +251,8 @@ def test_passes_match_the_per_segment_reference(setup):
     twin = copy.deepcopy(policy)
     recorder = CountRecorder(policy)
     trace = run_policy(instance, recorder, seed=seed)
-    segments, revenue, stockout_time = reference_season(instance, OnePricePerRequest(twin), seed)
+    segments, revenue, stockout_time = reference_season(
+        instance, OnePricePerRequest(twin), stream(seed))
     assert trace.segments == segments
     assert trace.terminal_revenue == revenue
     assert trace.stockout_time == stockout_time
@@ -250,15 +263,15 @@ def test_passes_match_the_per_segment_reference(setup):
 @PROPERTY_SETTINGS
 @given(season_setups(), st.integers(1, 70))
 def test_block_reps_match_their_solo_reference(setup, reps):
-    # reps run in lockstep, each on its own key, as if each ran alone
-    instance, policy, (seed,) = setup
-    n = instance.market_size
+    # reps run in lockstep on one stream; given its draws, each runs as if
+    # it ran alone
+    instance, policy, seed = setup
     block = [copy.deepcopy(policy) for _ in range(reps)]
-    traces = run_block(instance, block, [(seed, n, rep) for rep in range(reps)])
-    for rep, (view, trace) in enumerate(zip(block, traces)):
+    traces = run_block(instance, block, seed)
+    for view, trace in zip(block, traces):
         twin = copy.deepcopy(policy)
         segments, revenue, stockout_time = reference_season(
-            instance, OnePricePerRequest(twin), (seed, n, rep))
+            instance, OnePricePerRequest(twin), replay(trace))
         assert trace.segments == segments
         assert trace.terminal_revenue == revenue
         assert trace.stockout_time == stockout_time

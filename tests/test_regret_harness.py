@@ -11,7 +11,7 @@ import pytest
 from dynpricing.demand import LinearDemand, ProblemInstance
 from dynpricing import market_sim, regret_harness
 from dynpricing.errors import UndefinedRegretError
-from dynpricing.market_sim import run_policy
+from dynpricing.market_sim import run_block, run_policy
 from dynpricing.policies import PolicyConfig, make_policy
 from dynpricing.regret_harness import (
     RegretPoint,
@@ -55,12 +55,13 @@ def inline_pool(monkeypatch):
 
 
 class TestSeasons:
-    def test_each_rep_runs_a_fresh_policy_on_its_own_key(self):
+    def test_each_block_runs_fresh_policies_on_its_first_reps_key(self, monkeypatch):
         inst, config = BASE.with_market_size(500), PolicyConfig("dpa")
+        monkeypatch.setattr(regret_harness, "_BLOCK", 2)
         ran = list(seasons(inst, config, 7, [5, 0, 3]))
-        assert [trace for _, trace in ran] == [
-            run_policy(inst, make_policy(config, inst), seed=(7, 500, rep)) for rep in (5, 0, 3)
-        ]
+        first = run_block(inst, [make_policy(config, inst) for _ in range(2)], (7, 500, 5))
+        last = run_policy(inst, make_policy(config, inst), seed=(7, 500, 3))
+        assert [trace for _, trace in ran] == first + [last]
         assert len({id(policy) for policy, _ in ran}) == 3
 
     def test_seasons_is_the_only_caller_of_the_engine(self):
@@ -109,15 +110,19 @@ class TestEstimate:
             pooled = estimate_regret(*cell, seed=0, workers=2)
             assert serial == pooled
 
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        # no rep's draws depend on the other reps of its lockstep block,
-        # nor on a block larger than the cell
-        cell = BASE.with_market_size(100), PolicyConfig("dpa"), 130
-        points = []
-        for block in (1, 7, 64, 128, 1000):
-            monkeypatch.setattr(regret_harness, "_BLOCK", block)
-            points.append(estimate_regret(*cell, seed=0))
-        assert all(point == points[0] for point in points)
+    def test_a_cell_split_on_block_boundaries_gives_the_same_result(self):
+        # a block's key is its first rep's, so a run of reps cut at
+        # multiples of the block size gives the seasons of one run
+        block = regret_harness._BLOCK
+        inst, config = BASE.with_market_size(100), PolicyConfig("dpa")
+        reps = 2 * block + 5
+        whole = [trace for _, trace in seasons(inst, config, 0, range(reps))]
+        split = [trace for start in range(0, reps, block)
+                 for _, trace in seasons(inst, config, 0, range(start, min(start + block, reps)))]
+        assert whole == split
+        revenues = np.array([trace.terminal_revenue for trace in whole])
+        point = estimate_regret(inst, config, reps, seed=0)
+        assert point.mean_revenue == float(revenues.mean())
 
     def test_pool_never_exceeds_the_cores(self, inline_pool):
         cell = BASE.with_market_size(100), PolicyConfig("dpa"), 5
