@@ -96,6 +96,23 @@ class TestFamilies:
         with pytest.raises(ValueError):
             WorstCaseLinear(0.2)
 
+    @pytest.mark.parametrize("model", [
+        LIN, EXP, WorstCaseLinear(0.55), LogitDemand(0.5, 1.0),
+        PiecewiseLinearDemand(84.0, 1.0, 4.0, 60.0, 2.0, 5.0),
+    ], ids=["linear", "exponential", "worstcase", "logit", "piecewise"])
+    def test_array_rates_match_the_scalar_rate(self, model):
+        # the simulator evaluates a pass's rates in one call; linear rates
+        # do the scalar's arithmetic, and numpy's exp is within an ulp or two
+        # of math.exp
+        prices = np.linspace(model.price_floor, model.price_ceil, 60).reshape(4, 15)
+        scalar = np.array([[model._rate(p) for p in row] for row in prices.tolist()])
+        rates = model._rates(prices)
+        assert rates.shape == prices.shape
+        if isinstance(model, ExponentialDemand):
+            np.testing.assert_allclose(rates, scalar, rtol=4 * np.finfo(float).eps, atol=0)
+        else:
+            assert rates.tolist() == scalar.tolist()
+
 class TestSolvers:
     def test_linear_unconstrained_price(self):
         # argmax p (30 - 3p) = 5 exactly
